@@ -61,6 +61,8 @@ def _format_csv(histogram) -> str:
 
 
 def cmd_obfuscate(args) -> int:
+    if args.top < 1:
+        raise ConstraintError(f"--top must be >= 1, got {args.top}")
     obf_plan = obfuscator.plan(args.n_value, args.bits)
     histogram = obfuscator.run(obf_plan, shots=args.shots, seed=args.seed)
     if args.format == "json":

@@ -27,7 +27,7 @@ from .statevector import (
     StateVector,
     marginal_probabilities,
     run_circuit,
-    sample,
+    sample_counts,
     zero_state,
 )
 
@@ -165,7 +165,8 @@ def build_full_circuit(obf_plan: ObfuscationPlan) -> Circuit:
 def simulate(obf_plan: ObfuscationPlan) -> tuple[StateVector, float]:
     """Run the full circuit from |0...0>; returns (state, simulation seconds).
 
-    The timing covers gate application only, not circuit construction.
+    The timing covers simulation, including compiling the permutation
+    runs, but not circuit construction.
     """
     circuit = build_full_circuit(obf_plan)
     state = zero_state(obf_plan.total_qubits)
@@ -175,15 +176,21 @@ def simulate(obf_plan: ObfuscationPlan) -> tuple[StateVector, float]:
     return state, elapsed
 
 
+def _registers(index: np.ndarray, bits: int):
+    """(x, y, z) arrays for input-register outcome indices; x holds the low bits."""
+    mask = (1 << bits) - 1
+    return index & mask, (index >> bits) & mask, index >> (2 * bits)
+
+
+def _solution_mass(obf_plan: ObfuscationPlan, marginal: np.ndarray) -> float:
+    xs, ys, zs = _registers(np.arange(marginal.size), obf_plan.bits)
+    value = float(marginal[xs + ys + zs == obf_plan.target].sum())
+    return min(max(value, 0.0), 1.0)
+
+
 def solution_probability(obf_plan: ObfuscationPlan, state: StateVector) -> float:
     """Exact marginal probability that the inputs decode to a valid triplet."""
-    bits = obf_plan.bits
-    marginal = marginal_probabilities(state, obf_plan.input_qubits)
-    index = np.arange(marginal.size)
-    mask = (1 << bits) - 1
-    total = (index & mask) + ((index >> bits) & mask) + (index >> (2 * bits))
-    value = float(marginal[total == obf_plan.target].sum())
-    return min(max(value, 0.0), 1.0)
+    return _solution_mass(obf_plan, marginal_probabilities(state, obf_plan.input_qubits))
 
 
 def decode(bitstring: str, bits: int) -> tuple[int, int, int]:
@@ -216,21 +223,20 @@ def run(obf_plan: ObfuscationPlan, shots: int = DEFAULT_SHOTS,
         seed: int = DEFAULT_SEED) -> DecodedHistogram:
     """Simulate, sample the input qubits, and decode every outcome."""
     state, _ = simulate(obf_plan)
-    histogram = sample(state, obf_plan.input_qubits, shots, seed)
-    entries: dict[tuple[int, int, int], int] = {}
-    valid = 0
-    for key, count in histogram.entries.items():
-        triplet = decode(key, obf_plan.bits)
-        entries[triplet] = count
-        if sum(triplet) == obf_plan.target:
-            valid += count
+    marginal = marginal_probabilities(state, obf_plan.input_qubits)
+    counts = sample_counts(marginal, shots, seed)
+    outcomes = np.flatnonzero(counts)
+    hits = counts[outcomes]
+    xs, ys, zs = _registers(outcomes, obf_plan.bits)
+    entries = dict(zip(zip(xs.tolist(), ys.tolist(), zs.tolist()), hits.tolist()))
+    valid = int(hits[xs + ys + zs == obf_plan.target].sum())
     return DecodedHistogram(
         target=obf_plan.target,
         bits=obf_plan.bits,
         iterations=obf_plan.iterations,
         shots=shots,
         valid_fraction=valid / shots,
-        exact_success=solution_probability(obf_plan, state),
+        exact_success=_solution_mass(obf_plan, marginal),
         entries=entries,
     )
 

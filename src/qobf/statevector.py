@@ -1,16 +1,28 @@
 """Exact dense statevector simulation of the {H, X, Z, CX, CCX, MCX} gate set.
 
 Amplitudes are complex128 and the basis convention is little-endian
-everywhere: bit k of a basis index (weight 2^k) is qubit k. Gate kernels
-work on numpy views of the amplitude array reshaped to one axis per
-qubit, so a gate touching few qubits only moves the sub-block it selects.
+everywhere: bit k of a basis index (weight 2^k) is qubit k.
+
+X, CX, CCX and MCX permute basis states, so ``run_circuit`` splits the
+op list into maximal runs of them and applies each run as one gather
+through a precomputed index array, built by pushing packed bit planes
+through the run's gates. A run that recurs (every Grover round repeats
+the same ops) is compiled once per call. H and Z are applied gate by
+gate on a (hi, 2, lo) view that splits the target bit. Every amplitude
+comes out bit for bit as gate-by-gate application would leave it: a
+gather only moves values, and the H butterfly does its arithmetic in
+one fixed order. Gate fusion of this kind follows Haener & Steiger,
+arXiv:1704.01127.
 
 Measurement is terminal sampling only. Sampling draws shots by inverse
 CDF over the marginal distribution of the requested qubits, with
 uniforms from PCG64 (O'Neill's permuted congruential generator,
 XSL-RR 128/64 variant, as shipped by numpy and seeded through numpy's
-SeedSequence). Identical (state, qubits, shots, seed) give an identical
-histogram on every platform.
+SeedSequence). The uniforms are drawn in fixed chunks, sorted and
+counted against the cumulative marginal; that is the same stream and
+the same outcome per uniform as one lookup of all of them, so identical
+(state, qubits, shots, seed) give an identical histogram on every
+platform.
 
 Widths above ``max_qubits()`` (default 26, about 1 GiB of amplitudes)
 are refused; set QOBF_MAX_QUBITS or pass an explicit max_width to go
@@ -21,6 +33,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -28,6 +41,9 @@ from .circuit import Circuit, GateOp
 from .errors import ConstraintError, ResourceLimitError
 
 DEFAULT_MAX_QUBITS = 26
+
+# uniforms drawn, sorted and counted at a time by sample_counts
+SAMPLE_CHUNK = 1 << 18
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -100,56 +116,116 @@ def basis_state(width: int, index: int, max_width: int | None = None) -> StateVe
     return state
 
 
-def _halves(state: StateVector, gate: GateOp):
-    """Views of the amplitude block selected by the controls, split on the target bit.
+_PERMUTATION_KINDS = frozenset({"x", "cx", "ccx", "mcx"})
 
-    Reshaped row-major, axis j is qubit width-1-j.
+# np.take widens int32 indices to intp; gathering in blocks keeps that copy
+# small. The indices are in range, so mode="wrap" only spares the buffered
+# output that the default mode="raise" would make.
+_GATHER_BLOCK = 1 << 16
+
+# bit k of byte j in a little-endian packed plane is basis index 8j + k;
+# these are the planes of qubits 0, 1, 2, the same in every byte
+_LOW_PLANES = (0xAA, 0xCC, 0xF0)
+
+
+def _initial_plane(qubit: int, nbytes: int) -> np.ndarray:
+    """Packed bit ``qubit`` of every basis index 0 .. 8*nbytes - 1."""
+    if qubit < 3:
+        return np.full(nbytes, _LOW_PLANES[qubit], dtype=np.uint8)
+    bit = (np.arange(nbytes) >> (qubit - 3)) & 1
+    return (bit * 0xFF).astype(np.uint8)
+
+
+def _compile_run(run: tuple[GateOp, ...], width: int) -> np.ndarray:
+    """Gather index of a run of X/CX/CCX/MCX gates: new[j] = old[index[j]].
+
+    Every gate in the run is a self-inverse basis permutation, so the
+    source of basis index j is found by applying the gates to j in
+    reverse order. The gates act on packed bit planes, one per touched
+    qubit, 8 basis indices to a byte.
     """
-    width = state.width
-    view = state.amplitudes.reshape((2,) * width)
-    # length-1 slices (not integer indices) keep every result a real view;
-    # integer indexing would collapse a fully-pinned selection to a scalar copy
-    sel = [slice(None)] * width
-    for c in gate.controls:
-        sel[width - 1 - c] = slice(1, 2)
-    sel0 = list(sel)
-    sel1 = list(sel)
-    sel0[width - 1 - gate.target] = slice(0, 1)
-    sel1[width - 1 - gate.target] = slice(1, 2)
-    return view[tuple(sel0)], view[tuple(sel1)]
+    size = 2**width
+    nbytes = max(size // 8, 1)
+    touched = {q for op in run for q in op.qubits()}
+    start = {q: _initial_plane(q, nbytes) for q in touched}
+    planes = {q: plane.copy() for q, plane in start.items()}
+    for op in reversed(run):
+        flip = planes[op.target]
+        if op.controls:
+            fired = planes[op.controls[0]]
+            for c in op.controls[1:]:
+                fired = fired & planes[c]
+            flip ^= fired
+        else:
+            np.invert(flip, out=flip)
+    # int32 holds half the memory of int64 and reaches every index below 2^31
+    dtype = np.int32 if width < 32 else np.int64
+    index = np.arange(size, dtype=dtype)
+    for q, plane in planes.items():
+        moved = plane ^ start[q]
+        if moved.any():
+            bits = np.unpackbits(moved, count=size, bitorder="little")
+            index ^= np.left_shift(bits, q, dtype=dtype)
+    return index
 
 
-def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
-    """Apply one gate in place and return the state."""
-    if max(gate.qubits()) >= state.width:
-        raise ValueError(
-            f"gate {gate.kind} touches qubit {max(gate.qubits())}, "
-            f"state width {state.width}"
-        )
-    a, b = _halves(state, gate)
+def _butterfly(amplitudes: np.ndarray, gate: GateOp):
+    """H or Z in place, on the (hi, 2, lo) view that splits the target bit."""
+    lo = 2**gate.target
+    view = amplitudes.reshape(-1, 2, lo)
+    a, b = view[:, 0, :], view[:, 1, :]
     if gate.kind == "h":
         tmp = a - b
         a += b
         a *= _INV_SQRT2
         tmp *= _INV_SQRT2
         b[...] = tmp
-    elif gate.kind == "z":
+    else:
         b *= -1.0
-    else:  # x, cx, ccx, mcx all flip the target where the controls are 1
-        tmp = a.copy()
-        a[...] = b
-        b[...] = tmp
-    return state
+
+
+def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
+    """Apply one gate in place and return the state."""
+    return run_circuit(state, Circuit(state.width, [gate]))
 
 
 def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Fold apply_gate over the circuit's ops, in order."""
+    """Apply the circuit's ops in order, in place, and return the state.
+
+    Each maximal run of X/CX/CCX/MCX gates is applied as one gather;
+    runs with the same ops are compiled once per call. H and Z are
+    applied gate by gate.
+    """
     if circuit.width != state.width:
         raise ValueError(
             f"circuit width {circuit.width} != state width {state.width}"
         )
     for op in circuit.ops:
-        apply_gate(state, op)
+        if max(op.qubits()) >= state.width:
+            raise ValueError(
+                f"gate {op.kind} touches qubit {max(op.qubits())}, "
+                f"state width {state.width}"
+            )
+    amplitudes = state.amplitudes
+    spare = None
+    compiled: dict[tuple[GateOp, ...], np.ndarray] = {}
+    for permutes, group in groupby(circuit.ops, key=lambda op: op.kind in _PERMUTATION_KINDS):
+        if not permutes:
+            for op in group:
+                _butterfly(amplitudes, op)
+            continue
+        run = tuple(group)
+        index = compiled.get(run)
+        if index is None:
+            index = compiled[run] = _compile_run(run, state.width)
+        if spare is None:
+            spare = np.empty_like(amplitudes)
+        for lo in range(0, index.size, _GATHER_BLOCK):
+            block = slice(lo, lo + _GATHER_BLOCK)
+            np.take(amplitudes, index[block], out=spare[block], mode="wrap")
+        amplitudes, spare = spare, amplitudes
+    if amplitudes is not state.amplitudes:
+        state.amplitudes[...] = amplitudes
     return state
 
 
@@ -199,27 +275,40 @@ def probabilities_of_subset(state: StateVector, qubits) -> dict[str, float]:
     }
 
 
-def sample(state: StateVector, qubits, shots: int, seed: int) -> Histogram:
-    """Draw ``shots`` outcomes from the marginal over ``qubits``.
+def sample_counts(marginal: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Shot counts per outcome index, drawn from ``marginal``.
 
-    Inverse-CDF sampling: PCG64(seed) uniforms looked up in the
-    cumulative marginal. Deterministic for a given seed.
+    Inverse-CDF sampling: the outcome of a PCG64(seed) uniform u is the
+    number of cumulative-marginal entries <= u, clamped to the last
+    outcome. The uniforms are drawn SAMPLE_CHUNK at a time (the same
+    stream as one draw of ``shots``), sorted, and the cumulative
+    marginal is located among them, so outcome k gets the draws in
+    [cdf[k-1], cdf[k]). Deterministic for a given seed.
     """
     if shots < 1:
         raise ConstraintError(f"shots must be >= 1, got {shots}")
     if seed < 0:
         raise ConstraintError(f"seed must be >= 0, got {seed}")
-    qubits = list(qubits)
-    marginal = marginal_probabilities(state, qubits)
     cdf = np.cumsum(marginal)
     rng = np.random.Generator(np.random.PCG64(seed))
-    draws = rng.random(shots)
-    outcomes = np.searchsorted(cdf, draws, side="right")
-    outcomes = np.minimum(outcomes, len(marginal) - 1)
-    counts = np.bincount(outcomes, minlength=len(marginal))
+    counts = np.zeros(len(marginal), dtype=np.int64)
+    for start in range(0, shots, SAMPLE_CHUNK):
+        draws = rng.random(min(SAMPLE_CHUNK, shots - start))
+        draws.sort()
+        # below[k] = draws with outcome <= k; the last outcome takes the tail
+        below = np.searchsorted(draws, cdf, side="left")
+        below[-1] = len(draws)
+        counts += np.diff(below, prepend=0)
+    return counts
+
+
+def sample(state: StateVector, qubits, shots: int, seed: int) -> Histogram:
+    """Draw ``shots`` outcomes from the marginal over ``qubits``; see sample_counts."""
+    qubits = list(qubits)
+    counts = sample_counts(marginal_probabilities(state, qubits), shots, seed)
     m = len(qubits)
     entries = {
-        format(i, f"0{m}b"): int(c) for i, c in enumerate(counts) if c > 0
+        format(int(i), f"0{m}b"): int(counts[i]) for i in np.flatnonzero(counts)
     }
     return Histogram(m, entries, shots)
 

@@ -3,7 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v`. Every test prints a
 PASS/FAIL line straight to the terminal (bypassing capture) so the
 verdicts are visible in any log. The heavy-simulation leg of criterion 8
-(23 and 26 qubit statevectors, minutes of runtime, ~2.5 GiB peak) only
+(23 and 26 qubit statevectors, minutes of runtime, ~3.4 GiB peak) only
 runs when QOBF_RUN_HEAVY=1 is set.
 """
 

@@ -14,20 +14,27 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+README_QUICK_START = """\
+target 19  bits 3  iterations 7  shots 1024
+   x    y    z   count
+   7    6    6     180  ##############################
+   7    7    5     180  ##############################
+   7    5    7     176  #############################
+   6    6    7     174  #############################
+   5    7    7     157  ##########################
+   6    7    6     157  ##########################
+valid_fraction 1.000000
+exact_success 0.996846
+"""
+
+
 def test_obfuscate_text_output(capsys):
     code, out, err = invoke(
         capsys, "obfuscate", "--n-value", "19", "--shots", "1024", "--seed", "7"
     )
     assert code == 0
     assert err == ""
-    lines = out.splitlines()
-    assert lines[0] == "target 19  bits 3  iterations 7  shots 1024"
-    assert lines[-2].startswith("valid_fraction ")
-    assert lines[-1].startswith("exact_success 0.996846")
-    assert float(lines[-2].split()[1]) >= 0.86
-    # six valid triplets fill the top of the ranking
-    top = [tuple(int(tok) for tok in line.split()[:3]) for line in lines[2:8]]
-    assert all(sum(triplet) == 19 for triplet in top)
+    assert out == README_QUICK_START
 
 
 def test_obfuscate_stdout_is_deterministic(capsys):
@@ -86,6 +93,15 @@ def test_obfuscate_bits_too_small_exits_2(capsys):
     assert out == ""
     assert err.startswith("error:")
     assert "3" in err  # the bound 3*(2^1 - 1) = 3 appears in the message
+
+
+@pytest.mark.parametrize("top", ["0", "-2"])
+def test_obfuscate_top_below_one_exits_2(capsys, top):
+    code, out, err = invoke(capsys, "obfuscate", "--n-value", "19", "--top", top)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "--top" in err
 
 
 def test_bench_default_targets(capsys):

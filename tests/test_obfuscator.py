@@ -20,6 +20,7 @@ from qobf.obfuscator import (
     sorted_entries,
     to_json_dict,
 )
+from qobf.statevector import sample
 
 
 def test_plan_picks_minimal_register_width():
@@ -138,6 +139,19 @@ def test_run_is_deterministic():
     second = run(case, shots=200, seed=11)
     assert first == second
     assert run(case, shots=200, seed=12) != first
+
+
+@pytest.mark.parametrize("target, bits", [(3, 1), (7, 2), (19, 3)])
+def test_run_decodes_like_sample_and_decode(target, bits):
+    case = plan(target, bits)
+    histogram = run(case, shots=4000, seed=5)
+    state, _ = simulate(case)
+    drawn = sample(state, case.input_qubits, 4000, 5)
+    entries = {decode(key, bits): count for key, count in drawn.entries.items()}
+    assert histogram.entries == entries
+    valid = sum(count for triplet, count in entries.items() if sum(triplet) == target)
+    assert histogram.valid_fraction == valid / 4000
+    assert histogram.exact_success == solution_probability(case, state)
 
 
 def test_decode_known_bitstring():

@@ -1,4 +1,4 @@
-"""Gate kernels checked against dense matrices built the slow, obvious way."""
+"""Gate kernels checked against dense matrices and a gate-by-gate reference kernel."""
 
 import math
 
@@ -7,7 +7,9 @@ import pytest
 
 from qobf.circuit import Circuit, GateOp, ccx, cx, h, mcx, x, z
 from qobf.errors import ConstraintError, ResourceLimitError
+from qobf.obfuscator import build_full_circuit, plan
 from qobf.statevector import (
+    SAMPLE_CHUNK,
     Histogram,
     apply_gate,
     basis_state,
@@ -17,6 +19,7 @@ from qobf.statevector import (
     probabilities_of_subset,
     run_circuit,
     sample,
+    sample_counts,
     zero_state,
 )
 
@@ -50,6 +53,71 @@ def random_state(width, seed):
     amps = rng.normal(size=2 ** width) + 1j * rng.normal(size=2 ** width)
     amps /= np.linalg.norm(amps)
     return amps.astype(np.complex128)
+
+
+def reference_apply(amplitudes, width, gate):
+    """One gate in place: swap, or butterfly, the halves of the control-selected block."""
+    view = amplitudes.reshape((2,) * width)  # axis j is qubit width-1-j
+    sel = [slice(None)] * width
+    for c in gate.controls:
+        sel[width - 1 - c] = slice(1, 2)
+    sel0, sel1 = list(sel), list(sel)
+    sel0[width - 1 - gate.target] = slice(0, 1)
+    sel1[width - 1 - gate.target] = slice(1, 2)
+    a, b = view[tuple(sel0)], view[tuple(sel1)]
+    if gate.kind == "h":
+        tmp = a - b
+        a += b
+        a *= 1.0 / np.sqrt(2.0)
+        tmp *= 1.0 / np.sqrt(2.0)
+        b[...] = tmp
+    elif gate.kind == "z":
+        b *= -1.0
+    else:
+        tmp = a.copy()
+        a[...] = b
+        b[...] = tmp
+
+
+def reference_run(amplitudes, circuit):
+    amplitudes = amplitudes.copy()
+    for op in circuit.ops:
+        reference_apply(amplitudes, circuit.width, op)
+    return amplitudes
+
+
+def random_permutation_run(rng, width, length):
+    ops = []
+    for _ in range(length):
+        arity = int(rng.integers(0, min(width, 5)))
+        qubits = [int(q) for q in rng.choice(width, size=arity + 1, replace=False)]
+        ops.append(mcx(qubits[:-1], qubits[-1]) if arity else x(qubits[-1]))
+    return ops
+
+
+def random_mixed_circuit(width, seed):
+    """H/Z gates between permutation runs, several of which repeat."""
+    rng = np.random.default_rng(seed)
+    runs = [random_permutation_run(rng, width, int(rng.integers(1, 9))) for _ in range(3)]
+    circuit = Circuit(width)
+    for _ in range(12):
+        circuit.extend(runs[int(rng.integers(len(runs)))])
+        for _ in range(int(rng.integers(0, 3))):
+            gate = h if rng.random() < 0.7 else z
+            circuit.append(gate(int(rng.integers(width))))
+    return circuit
+
+
+def dense_matrix(circuit):
+    full = np.eye(2 ** circuit.width)
+    for op in circuit.ops:
+        if op.kind in ("h", "z"):
+            matrix = H_MATRIX if op.kind == "h" else Z_MATRIX
+            gate = dense_single(matrix, op.target, circuit.width)
+        else:
+            gate = dense_controlled_x(op.controls, op.target, circuit.width)
+        full = gate @ full
+    return full
 
 
 def assert_matches_dense(gate, matrix, width, seed):
@@ -106,10 +174,48 @@ def test_mcx_matches_permutation_matrix():
         )
 
 
+@pytest.mark.parametrize("target", range(1, 22))
+def test_pipeline_circuit_equals_gate_by_gate_reference(target):
+    circuit = build_full_circuit(plan(target))
+    state = zero_state(circuit.width)
+    expected = reference_run(state.amplitudes, circuit)
+    run_circuit(state, circuit)
+    assert np.array_equal(state.amplitudes, expected)
+
+
+# 17 qubits: a state of two gather blocks
+@pytest.mark.parametrize("width", [*range(1, 10), 17])
+def test_random_mixed_circuit_equals_gate_by_gate_reference(width):
+    for seed in range(4):
+        circuit = random_mixed_circuit(width, seed=100 * width + seed)
+        state = zero_state(width)
+        amplitudes = state.amplitudes
+        amplitudes[:] = random_state(width, seed)
+        expected = reference_run(amplitudes, circuit)
+        run_circuit(state, circuit)
+        assert state.amplitudes is amplitudes
+        assert np.array_equal(amplitudes, expected)
+
+
+@pytest.mark.parametrize("width", range(1, 7))
+def test_random_mixed_circuit_matches_dense_product(width):
+    for seed in range(3):
+        circuit = random_mixed_circuit(width, seed=1000 + 10 * width + seed)
+        state = zero_state(width)
+        state.amplitudes[:] = random_state(width, seed)
+        expected = dense_matrix(circuit) @ state.amplitudes
+        run_circuit(state, circuit)
+        np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
+
+
 def test_gate_on_out_of_range_qubit_rejected():
     state = zero_state(2)
     with pytest.raises(ValueError):
         apply_gate(state, x(2))
+    circuit = Circuit(2)
+    circuit.ops.append(cx(0, 2))  # past the check Circuit.append makes
+    with pytest.raises(ValueError):
+        run_circuit(state, circuit)
 
 
 def test_hadamard_squared_is_identity():
@@ -241,6 +347,28 @@ def test_sample_rejects_zero_shots():
         sample(zero_state(1), (0,), shots=0, seed=0)
     with pytest.raises(ConstraintError):
         sample(zero_state(1), (0,), shots=1, seed=-1)
+
+
+def reference_counts(marginal, shots, seed):
+    cdf = np.cumsum(marginal)
+    draws = np.random.Generator(np.random.PCG64(seed)).random(shots)
+    outcomes = np.minimum(np.searchsorted(cdf, draws, side="right"), len(marginal) - 1)
+    return np.bincount(outcomes, minlength=len(marginal))
+
+
+@pytest.mark.parametrize("shots", [SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1,
+                                   3 * SAMPLE_CHUNK + 7])
+def test_sample_counts_equal_one_searchsorted_over_all_draws(shots):
+    rng = np.random.default_rng(shots)
+    marginal = rng.random(64)
+    marginal[[0, 1, 17, 40, 41, 63]] = 0.0
+    marginal /= marginal.sum()
+    short = marginal * (1.0 - 1e-3)  # cdf ends below 1: the tail goes to the last outcome
+    assert np.cumsum(short)[-1] < 1.0
+    for probs in (marginal, short):
+        counts = sample_counts(probs, shots, seed=shots % 97)
+        assert np.array_equal(counts, reference_counts(probs, shots, shots % 97))
+    assert counts[-1] > 0
 
 
 def test_histogram_checks_totals():
