@@ -1,124 +1,28 @@
 """Quantum data obfuscation: hide a natural number inside the amplified
-superposition of its three-register sum decompositions."""
+superposition of its three-register sum decompositions.
 
-from .arithmetic import (
-    AdderLayout,
-    SumLayout,
-    build_half_adder,
-    build_triple_sum,
-    triple_sum_layout,
-)
-from .circuit import (
-    Circuit,
-    GateOp,
-    ccx,
-    compose,
-    cx,
-    decompose_mcx,
-    depth,
-    gate_counts,
-    h,
-    inverse,
-    mcx,
-    parse,
-    serialize,
-    x,
-    z,
-)
+The package root holds what the pipeline needs end to end; the building
+blocks live in the submodules arithmetic, circuit, grover, statevector
+and obfuscator.
+"""
+
+from .circuit import Circuit, parse, serialize
 from .errors import CircuitParseError, ConstraintError, ResourceLimitError
-from .grover import (
-    GroverPlan,
-    brute_force_solutions,
-    build_diffuser,
-    build_oracle,
-    build_query,
-    count_solutions,
-    make_plan,
-    optimal_iterations,
-    theoretical_success,
-)
-from .obfuscator import (
-    DecodedHistogram,
-    ObfuscationPlan,
-    build_full_circuit,
-    decode,
-    encode,
-    plan,
-    run,
-    simulate,
-    solution_probability,
-    sorted_entries,
-    to_json_dict,
-)
-from .statevector import (
-    Histogram,
-    StateVector,
-    apply_gate,
-    basis_state,
-    fidelity,
-    marginal_probabilities,
-    max_qubits,
-    probabilities_of_subset,
-    run_circuit,
-    sample,
-    zero_state,
-)
+from .obfuscator import DecodedHistogram, ObfuscationPlan, plan, run, sorted_entries, to_json_dict
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdderLayout",
     "Circuit",
     "CircuitParseError",
     "ConstraintError",
     "DecodedHistogram",
-    "GateOp",
-    "GroverPlan",
-    "Histogram",
     "ObfuscationPlan",
     "ResourceLimitError",
-    "StateVector",
-    "SumLayout",
-    "apply_gate",
-    "basis_state",
-    "brute_force_solutions",
-    "build_diffuser",
-    "build_full_circuit",
-    "build_half_adder",
-    "build_oracle",
-    "build_query",
-    "build_triple_sum",
-    "ccx",
-    "compose",
-    "count_solutions",
-    "cx",
-    "decode",
-    "decompose_mcx",
-    "depth",
-    "encode",
-    "fidelity",
-    "gate_counts",
-    "h",
-    "inverse",
-    "make_plan",
-    "marginal_probabilities",
-    "max_qubits",
-    "mcx",
-    "optimal_iterations",
     "parse",
     "plan",
-    "probabilities_of_subset",
     "run",
-    "run_circuit",
-    "sample",
     "serialize",
-    "simulate",
-    "solution_probability",
     "sorted_entries",
-    "theoretical_success",
     "to_json_dict",
-    "triple_sum_layout",
-    "x",
-    "z",
-    "zero_state",
 ]

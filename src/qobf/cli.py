@@ -21,6 +21,8 @@ HEAVY_QUBITS = 20
 BENCH_HEADER = "N,n,iterations,qubits,depth,gates,run_time_s,valid_solutions"
 DEFAULT_TARGETS = "7,15,31,63"
 TEXT_TOP_DEFAULT = 12
+# count --verify loops over all 8^bits triplets in Python (about 1 s at 8 bits)
+VERIFY_MAX_BITS = 8
 BAR_WIDTH = 30
 
 
@@ -120,6 +122,11 @@ def cmd_count(args) -> int:
     if not args.verify:
         print(formula)
         return 0
+    if args.bits > VERIFY_MAX_BITS:
+        raise ResourceLimitError(
+            f"--verify enumerates 8^{args.bits} triplets; the limit is "
+            f"--bits {VERIFY_MAX_BITS}"
+        )
     brute = grover.brute_force_solutions(args.n_value, args.bits)
     print(f"formula {formula}")
     print(f"brute_force {brute}")
@@ -227,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--n-value", type=int, required=True)
     p_count.add_argument("--bits", type=int, required=True)
     p_count.add_argument("--verify", action="store_true",
-                         help="cross-check against brute force")
+                         help="cross-check against brute force "
+                         f"(bits <= {VERIFY_MAX_BITS})")
     p_count.set_defaults(func=cmd_count)
 
     p_inspect = sub.add_parser("inspect", help="circuit metrics for one target")

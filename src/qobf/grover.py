@@ -17,33 +17,10 @@ on the input qubits, which inverts amplitudes about the mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .arithmetic import SumLayout, build_triple_sum
 from .circuit import Circuit, compose, h, inverse, mcx, x
 from .errors import ConstraintError
-
-
-@dataclass(frozen=True)
-class GroverPlan:
-    """Search-space bookkeeping for one target value."""
-
-    bits: int
-    target: int
-    space_size: int
-    solution_count: int
-    iterations: int
-    theoretical_success: float
-
-    def __post_init__(self):
-        if self.space_size != 2 ** (3 * self.bits):
-            raise ValueError("space_size must be 2^(3*bits)")
-        if not 1 <= self.solution_count <= self.space_size:
-            raise ValueError("solution_count out of range")
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        if not 0.0 <= self.theoretical_success <= 1.0:
-            raise ValueError("theoretical_success must be a probability")
 
 
 def count_solutions(target: int, bits: int) -> int:
@@ -103,21 +80,6 @@ def theoretical_success(space_size: int, solution_count: int, iterations: int) -
         raise ConstraintError(f"iterations must be >= 0, got {iterations}")
     angle = math.asin(math.sqrt(solution_count / space_size))
     return math.sin((2 * iterations + 1) * angle) ** 2
-
-
-def make_plan(target: int, bits: int) -> GroverPlan:
-    """Planner bundle for one (target, bits) pair."""
-    space = 2 ** (3 * bits)
-    solutions = count_solutions(target, bits)
-    rounds = optimal_iterations(space, solutions)
-    return GroverPlan(
-        bits=bits,
-        target=target,
-        space_size=space,
-        solution_count=solutions,
-        iterations=rounds,
-        theoretical_success=theoretical_success(space, solutions, rounds),
-    )
 
 
 def build_query(sum_layout: SumLayout, target: int, grover_ancilla: int,

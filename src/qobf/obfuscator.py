@@ -15,14 +15,14 @@ the triple sum, with the |-> phase ancilla last (index 3n+4).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import grover
 from .arithmetic import triple_sum_layout
 from .circuit import Circuit, h, x
-from .errors import ConstraintError
-from .grover import build_diffuser, build_oracle, make_plan
+from .errors import ConstraintError, ResourceLimitError
 from .statevector import (
     StateVector,
     marginal_probabilities,
@@ -34,34 +34,65 @@ from .statevector import (
 DEFAULT_SHOTS = 1024
 DEFAULT_SEED = 0
 
+# ops in one full circuit; every target with n <= 8 fits (at most 997,296, at N=765)
+MAX_CIRCUIT_OPS = 1 << 21
+
 
 @dataclass(frozen=True)
 class ObfuscationPlan:
-    """Everything needed to build and size the circuit for one target."""
+    """The search for one target: register width and Grover rounds.
+
+    Everything else about the plan is derived from these three fields.
+    """
 
     target: int
     bits: int
-    space_size: int
-    solution_count: int
     iterations: int
-    theoretical_success: float
-    qubit_map: dict = field(compare=False)
-    total_qubits: int
 
     def __post_init__(self):
         if self.target < 1:
             raise ConstraintError(f"target must be >= 1, got {self.target}")
+        if self.bits < 1:
+            raise ConstraintError(f"bits must be >= 1, got {self.bits}")
         bound = reachable_bound(self.bits)
         if self.target > bound:
             raise ConstraintError(
-                f"target {self.target} exceeds the {self.bits}-bit bound {bound}"
+                f"target {self.target} exceeds 3*(2^{self.bits} - 1) = {bound}; "
+                f"use wider registers"
             )
-        if self.total_qubits != 3 * self.bits + 5:
-            raise ValueError("total_qubits must be 3*bits + 5")
+        if self.iterations < 0:
+            raise ConstraintError(f"iterations must be >= 0, got {self.iterations}")
+
+    @property
+    def space_size(self) -> int:
+        return 2 ** (3 * self.bits)
+
+    @property
+    def solution_count(self) -> int:
+        return grover.count_solutions(self.target, self.bits)
+
+    @property
+    def theoretical_success(self) -> float:
+        return grover.theoretical_success(
+            self.space_size, self.solution_count, self.iterations
+        )
+
+    @property
+    def total_qubits(self) -> int:
+        return 3 * self.bits + 5
+
+    @property
+    def qubit_map(self) -> dict:
+        """Register name -> qubits: the triple-sum layout plus the phase ancilla."""
+        layout = asdict(triple_sum_layout(self.bits))
+        qubit_map = {name.removesuffix("_qubits"): spec for name, spec in layout.items()}
+        qubit_map["grover_ancilla"] = self.total_qubits - 1
+        return qubit_map
 
     @property
     def input_qubits(self) -> tuple[int, ...]:
-        return self.qubit_map["x"] + self.qubit_map["y"] + self.qubit_map["z"]
+        qubit_map = self.qubit_map
+        return qubit_map["x"] + qubit_map["y"] + qubit_map["z"]
 
 
 @dataclass(frozen=True)
@@ -96,66 +127,48 @@ def reachable_bound(bits: int) -> int:
 
 
 def plan(target: int, bits: int | None = None) -> ObfuscationPlan:
-    """Choose the register width (minimal unless given) and plan the search.
+    """Choose the register width (minimal unless given) and the Grover rounds.
 
     Raises a constraint error for target < 1, or when an explicit
     ``bits`` is too small for the target.
     """
-    if target < 1:
-        raise ConstraintError(f"target must be >= 1, got {target}")
     if bits is None:
         bits = 1
         while reachable_bound(bits) < target:
             bits += 1
-    else:
-        if bits < 1:
-            raise ConstraintError(f"bits must be >= 1, got {bits}")
-        bound = reachable_bound(bits)
-        if target > bound:
-            raise ConstraintError(
-                f"target {target} exceeds 3*(2^{bits} - 1) = {bound}; "
-                f"use wider registers"
-            )
-    search = make_plan(target, bits)
-    layout = triple_sum_layout(bits)
-    grover_ancilla = 3 * bits + 4
-    qubit_map = {
-        "x": layout.x_qubits,
-        "y": layout.y_qubits,
-        "z": layout.z_qubits,
-        "cout0": layout.cout0,
-        "shared_ancilla": layout.shared_ancilla,
-        "cout1": layout.cout1,
-        "adder2_ancilla": layout.adder2_ancilla,
-        "grover_ancilla": grover_ancilla,
-    }
-    return ObfuscationPlan(
-        target=target,
-        bits=bits,
-        space_size=search.space_size,
-        solution_count=search.solution_count,
-        iterations=search.iterations,
-        theoretical_success=search.theoretical_success,
-        qubit_map=qubit_map,
-        total_qubits=3 * bits + 5,
-    )
+    base = ObfuscationPlan(target, bits, 0)
+    rounds = grover.optimal_iterations(base.space_size, base.solution_count)
+    return replace(base, iterations=rounds)
 
 
 def build_full_circuit(obf_plan: ObfuscationPlan) -> Circuit:
-    """Initialization layer plus the planned number of Grover rounds."""
+    """Initialization layer plus the planned number of Grover rounds.
+
+    Raises a resource error, before any round is laid out, when the
+    circuit would have more than MAX_CIRCUIT_OPS ops.
+    """
     width = obf_plan.total_qubits
-    grover_ancilla = obf_plan.qubit_map["grover_ancilla"]
+    qubit_map = obf_plan.qubit_map
+    grover_ancilla = qubit_map["grover_ancilla"]
     labels = {
         name: spec if isinstance(spec, tuple) else (spec,)
-        for name, spec in obf_plan.qubit_map.items()
+        for name, spec in qubit_map.items()
     }
     circuit = Circuit(width, labels=labels)
     for q in obf_plan.input_qubits:
         circuit.append(h(q))
     circuit.append(x(grover_ancilla))
     circuit.append(h(grover_ancilla))
-    oracle, _ = build_oracle(obf_plan.bits, obf_plan.target)
-    diffuser = build_diffuser(obf_plan.input_qubits, grover_ancilla, width=width)
+    oracle, _ = grover.build_oracle(obf_plan.bits, obf_plan.target)
+    diffuser = grover.build_diffuser(obf_plan.input_qubits, grover_ancilla, width=width)
+    per_round = len(oracle.ops) + len(diffuser.ops)
+    total = len(circuit.ops) + obf_plan.iterations * per_round
+    if total > MAX_CIRCUIT_OPS:
+        raise ResourceLimitError(
+            f"target {obf_plan.target} with {obf_plan.bits}-bit registers needs "
+            f"{obf_plan.iterations} rounds of {per_round} ops ({total} ops); "
+            f"the circuit budget is {MAX_CIRCUIT_OPS} ops"
+        )
     for _ in range(obf_plan.iterations):
         circuit.extend(oracle.ops)
         circuit.extend(diffuser.ops)
@@ -165,11 +178,13 @@ def build_full_circuit(obf_plan: ObfuscationPlan) -> Circuit:
 def simulate(obf_plan: ObfuscationPlan) -> tuple[StateVector, float]:
     """Run the full circuit from |0...0>; returns (state, simulation seconds).
 
-    The timing covers simulation, including compiling the permutation
-    runs, but not circuit construction.
+    The state is allocated first, so a width over the qubit cap fails
+    before the circuit is built. The timing covers simulation,
+    including compiling the permutation runs, but not circuit
+    construction.
     """
-    circuit = build_full_circuit(obf_plan)
     state = zero_state(obf_plan.total_qubits)
+    circuit = build_full_circuit(obf_plan)
     start = time.perf_counter()
     run_circuit(state, circuit)
     elapsed = time.perf_counter() - start

@@ -260,21 +260,6 @@ def marginal_probabilities(state: StateVector, qubits) -> np.ndarray:
     return np.ascontiguousarray(tensor).reshape(-1)
 
 
-def probabilities_of_subset(state: StateVector, qubits) -> dict[str, float]:
-    """Marginal distribution keyed by sub-bitstring (first listed qubit rightmost).
-
-    Exact zeros are omitted; the returned values sum to 1 within 1e-9.
-    """
-    qubits = list(qubits)
-    marginal = marginal_probabilities(state, qubits)
-    m = len(qubits)
-    return {
-        format(i, f"0{m}b"): float(p)
-        for i, p in enumerate(marginal)
-        if p > 0.0
-    }
-
-
 def sample_counts(marginal: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """Shot counts per outcome index, drawn from ``marginal``.
 

@@ -6,6 +6,7 @@ import pytest
 
 from qobf import cli
 from qobf.circuit import parse
+from qobf.obfuscator import MAX_CIRCUIT_OPS
 
 
 def invoke(capsys, *argv):
@@ -146,6 +147,24 @@ def test_bench_heavy_target_needs_flag(capsys):
     assert code == 3
     assert out == ""
     assert "--heavy" in err
+
+
+@pytest.mark.parametrize("argv, budget", [
+    (("inspect", "--n-value", "3", "--bits", "30"), f"{MAX_CIRCUIT_OPS} ops"),
+    (("export", "--n-value", "3", "--bits", "30"), f"{MAX_CIRCUIT_OPS} ops"),
+    (("bench", "--plan-only", "--targets", "12285"), f"{MAX_CIRCUIT_OPS} ops"),
+    (("obfuscate", "--n-value", "3", "--bits", "30"), "cap is 26 qubits"),
+    (("count", "--n-value", "3", "--bits", "9", "--verify"),
+     f"--bits {cli.VERIFY_MAX_BITS}"),
+])
+def test_oversized_requests_exit_3_naming_the_budget(capsys, monkeypatch, argv, budget):
+    # each of these used to build or loop without bound; now it fails at once
+    monkeypatch.delenv("QOBF_MAX_QUBITS", raising=False)
+    code, out, err = invoke(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
+    assert budget in err
 
 
 def test_bench_rejects_malformed_targets(capsys):

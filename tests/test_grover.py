@@ -10,16 +10,15 @@ from qobf.arithmetic import triple_sum_layout
 from qobf.circuit import Circuit, compose, gate_counts, h, mcx, x
 from qobf.errors import ConstraintError
 from qobf.grover import (
-    GroverPlan,
     brute_force_solutions,
     build_diffuser,
     build_oracle,
     build_query,
     count_solutions,
-    make_plan,
     optimal_iterations,
     theoretical_success,
 )
+from qobf.obfuscator import ObfuscationPlan, plan
 from qobf.statevector import apply_gate, fidelity, run_circuit, zero_state
 
 # benchmark-table anchor values: (target, bits, iterations, solutions)
@@ -87,22 +86,25 @@ def test_theoretical_success_values():
 
 
 def test_make_plan_bundles_consistently():
-    plan = make_plan(19, 3)
-    assert plan == GroverPlan(
-        bits=3, target=19, space_size=512, solution_count=6, iterations=7,
-        theoretical_success=theoretical_success(512, 6, 7),
-    )
+    case = plan(19, 3)
+    assert case == ObfuscationPlan(target=19, bits=3, iterations=7)
+    assert (case.space_size, case.solution_count) == (512, 6)
+    assert case.iterations == optimal_iterations(512, 6)
+    assert case.theoretical_success == theoretical_success(512, 6, 7)
     with pytest.raises(ConstraintError):
-        make_plan(10, 2)  # unreachable: no solutions
+        plan(10, 2)  # unreachable: no solutions
 
 
 def test_grover_plan_invariants():
+    # the derived fields cannot disagree with the planning math
+    for target, bits in [(1, 1), (3, 2), (7, 2), (6, 3)]:
+        case = ObfuscationPlan(target, bits, 1)
+        assert case.space_size == 2 ** (3 * bits)
+        assert case.solution_count == brute_force_solutions(target, bits) > 0
     with pytest.raises(ValueError):
-        GroverPlan(bits=2, target=3, space_size=63, solution_count=1,
-                   iterations=1, theoretical_success=0.5)
+        ObfuscationPlan(target=10, bits=2, iterations=1)  # zero solutions
     with pytest.raises(ValueError):
-        GroverPlan(bits=2, target=3, space_size=64, solution_count=0,
-                   iterations=1, theoretical_success=0.5)
+        ObfuscationPlan(target=3, bits=2, iterations=-1)
 
 
 def minus_state_circuit(width, ancilla):

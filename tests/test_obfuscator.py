@@ -1,8 +1,10 @@
 """Pipeline: planning, circuit assembly, simulation, decoding, wire format."""
 
+import dataclasses
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from qobf.circuit import gate_counts
@@ -20,7 +22,7 @@ from qobf.obfuscator import (
     sorted_entries,
     to_json_dict,
 )
-from qobf.statevector import sample
+from qobf.statevector import marginal_probabilities, sample
 
 
 def test_plan_picks_minimal_register_width():
@@ -69,19 +71,16 @@ def test_plan_qubit_map_layout():
 
 
 def test_obfuscation_plan_validation():
-    case = plan(3, 1)
-    with pytest.raises(ValueError):
-        ObfuscationPlan(
-            target=case.target, bits=case.bits, space_size=case.space_size,
-            solution_count=case.solution_count, iterations=case.iterations,
-            theoretical_success=case.theoretical_success,
-            qubit_map=case.qubit_map, total_qubits=7,
-        )
-    with pytest.raises(ConstraintError):
-        ObfuscationPlan(
-            target=9, bits=1, space_size=8, solution_count=1, iterations=1,
-            theoretical_success=0.5, qubit_map=case.qubit_map, total_qubits=8,
-        )
+    case = plan(19, 3)
+    assert case == ObfuscationPlan(19, 3, 7)
+    assert hash(case) == hash(ObfuscationPlan(19, 3, 7))
+    assert case != ObfuscationPlan(19, 3, 6)
+    assert [f.name for f in dataclasses.fields(case)] == ["target", "bits", "iterations"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        case.iterations = 1
+    for target, bits, iterations in [(0, 3, 7), (22, 3, 7), (3, 0, 1), (3, 1, -1)]:
+        with pytest.raises(ConstraintError):
+            ObfuscationPlan(target, bits, iterations)
 
 
 def test_full_circuit_width_and_prelude():
@@ -98,11 +97,9 @@ def test_full_circuit_width_and_prelude():
 
 def test_zero_iteration_plan_builds_bare_initialization():
     base = plan(3, 1)
-    degenerate = ObfuscationPlan(
-        target=base.target, bits=base.bits, space_size=base.space_size,
-        solution_count=base.solution_count, iterations=0,
-        theoretical_success=base.solution_count / base.space_size,
-        qubit_map=base.qubit_map, total_qubits=base.total_qubits,
+    degenerate = dataclasses.replace(base, iterations=0)
+    assert degenerate.theoretical_success == pytest.approx(
+        base.solution_count / base.space_size
     )
     circuit = build_full_circuit(degenerate)
     assert gate_counts(circuit)["total"] == 3 * base.bits + 2
@@ -112,6 +109,36 @@ def test_simulation_preserves_norm():
     state, elapsed = simulate(plan(7, 2))
     assert state.norm_error() < 1e-9
     assert elapsed >= 0.0
+
+
+def input_register_model(case):
+    """Input marginal after R ideal rounds on the 2^(3n) input amplitudes alone.
+
+    With clean ancillas the oracle flips the sign of every marked
+    triplet and the diffuser maps each amplitude a to 2*mean - a.
+    """
+    index = np.arange(case.space_size)
+    mask = (1 << case.bits) - 1
+    total = (index & mask) + ((index >> case.bits) & mask) + (index >> 2 * case.bits)
+    marked = total == case.target
+    amplitudes = np.full(case.space_size, case.space_size ** -0.5)
+    for _ in range(case.iterations):
+        amplitudes[marked] *= -1.0
+        amplitudes = 2.0 * amplitudes.mean() - amplitudes
+    return amplitudes**2
+
+
+DIFFERENTIAL_CASES = [
+    (target, bits) for bits in (1, 2, 3) for target in range(1, 3 * (2**bits - 1) + 1)
+] + [(1, 4), (22, 4), (31, 4), (45, 4)]
+
+
+@pytest.mark.parametrize("target, bits", DIFFERENTIAL_CASES)
+def test_gate_level_marginal_matches_input_register_model(target, bits):
+    case = plan(target, bits)
+    state, _ = simulate(case)
+    marginal = marginal_probabilities(state, case.input_qubits)
+    np.testing.assert_allclose(marginal, input_register_model(case), rtol=0, atol=1e-11)
 
 
 def test_exact_success_matches_closed_form_smallest_case():

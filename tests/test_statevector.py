@@ -16,7 +16,6 @@ from qobf.statevector import (
     fidelity,
     marginal_probabilities,
     max_qubits,
-    probabilities_of_subset,
     run_circuit,
     sample,
     sample_counts,
@@ -304,14 +303,6 @@ def test_marginal_rejects_bad_subsets():
         marginal_probabilities(state, (3,))
     with pytest.raises(ValueError):
         marginal_probabilities(state, ())
-
-
-def test_probabilities_of_subset_key_orientation():
-    # |q1=1, q0=0> exactly: subset keys put the first listed qubit rightmost
-    state = basis_state(2, 2)
-    assert probabilities_of_subset(state, (0, 1)) == {"10": 1.0}
-    assert probabilities_of_subset(state, (1, 0)) == {"01": 1.0}
-    assert probabilities_of_subset(state, (1,)) == {"1": 1.0}
 
 
 def test_sample_deterministic_and_consistent():
