@@ -5,7 +5,11 @@ CX, CCX and MCX (3+ controls). Every gate in the set is self-inverse,
 so inverting a circuit is reversing its op list.
 
 Circuits are treated as immutable once built; builders append, everyone
-else reads. The textual format (serialize/parse) is line oriented:
+else reads. A circuit may declare that its op list ends in ``copies``
+equal blocks of ``block`` ops (``repeat``, as a Grover circuit is a
+prologue plus R identical rounds); counts, depth, MCX expansion and
+serialization then do the per-op work on the prologue and one block
+only. The textual format (serialize/parse) is line oriented:
 a ``width`` header, optional ``label <name> <i...>`` lines, then one
 lowercase op per line with controls listed before the target. ``#``
 starts a comment.
@@ -15,6 +19,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import CircuitParseError
 
@@ -88,16 +94,30 @@ def mcx(controls, target: int) -> GateOp:
 
 @dataclass
 class Circuit:
-    """Ordered gate list over ``width`` qubits, with optional register labels."""
+    """Ordered gate list over ``width`` qubits, with optional register labels.
+
+    ``repeat = (block, copies)`` says the last ``block * copies`` ops are
+    ``copies`` equal blocks; the ops before them are the prologue. A flat
+    circuit is ``(0, 0)``. It is not part of equality, and appending
+    clears it.
+    """
 
     width: int
     ops: list[GateOp] = field(default_factory=list)
     labels: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    repeat: tuple[int, int] = field(default=(0, 0), compare=False)
 
     def __post_init__(self):
         if self.width < 1:
             raise ValueError(f"circuit width must be >= 1, got {self.width}")
-        for op in self.ops:
+        block, copies = self.repeat
+        start = len(self.ops) - block * copies
+        if block < 0 or copies < 0 or start < 0:
+            raise ValueError(f"repeat {self.repeat} does not fit {len(self.ops)} ops")
+        # the tail is periodic iff it equals itself shifted by one block
+        if self.ops[start + block:] != self.ops[start:len(self.ops) - block]:
+            raise ValueError(f"the last {copies} blocks of {block} ops are not equal")
+        for op in self.ops[:start + block]:
             self._check_op(op)
         self.labels = {name: tuple(idx) for name, idx in self.labels.items()}
         self._check_labels()
@@ -122,6 +142,7 @@ class Circuit:
     def append(self, op: GateOp):
         self._check_op(op)
         self.ops.append(op)
+        self.repeat = (0, 0)
 
     def extend(self, ops):
         for op in ops:
@@ -130,9 +151,15 @@ class Circuit:
     def __len__(self):
         return len(self.ops)
 
+    def parts(self) -> tuple[list[GateOp], list[GateOp], int]:
+        """(prologue, block, copies): ops == prologue + block * copies."""
+        block, copies = self.repeat
+        start = len(self.ops) - block * copies
+        return self.ops[:start], self.ops[start:start + block], copies
+
 
 def compose(a: Circuit, b: Circuit) -> Circuit:
-    """New circuit running ``a`` then ``b``. Widths must match.
+    """New flat circuit running ``a`` then ``b``. Widths must match.
 
     Labels come from ``a``; if ``a`` has none, ``b``'s are used.
     """
@@ -143,28 +170,49 @@ def compose(a: Circuit, b: Circuit) -> Circuit:
 
 
 def inverse(circuit: Circuit) -> Circuit:
-    """Reverse the op list. Valid because the whole gate set is self-inverse."""
+    """Reverse the op list (flat). Valid because the whole gate set is self-inverse."""
     return Circuit(circuit.width, list(reversed(circuit.ops)), dict(circuit.labels))
+
+
+# "no path" in the max-plus transfer matrix; far below any reachable depth
+_NO_PATH = np.iinfo(np.int64).min // 2
 
 
 def depth(circuit: Circuit) -> int:
     """Layer count under greedy as-soon-as-possible scheduling.
 
     Two gates conflict iff they share a qubit index; a gate lands on the
-    layer after the deepest layer among its qubits.
+    layer after the deepest layer among its qubits. The prologue is
+    walked gate by gate. The per-qubit levels after one block are a
+    max-plus linear map of the levels before it, so the block is walked
+    once into an exact integer transfer matrix, which is then applied
+    once per copy.
     """
+    prologue, block, copies = circuit.parts()
     level = [0] * circuit.width
-    for op in circuit.ops:
+    for op in prologue:
         qs = op.qubits()
         layer = 1 + max(level[q] for q in qs)
         for q in qs:
             level[q] = layer
-    return max(level, default=0) if circuit.width else 0
+    # transfer[q, p]: longest path from qubit p entering the block to q leaving it
+    transfer = np.full((circuit.width, circuit.width), _NO_PATH, dtype=np.int64)
+    np.fill_diagonal(transfer, 0)
+    for op in block:
+        qs = list(op.qubits())
+        transfer[qs] = transfer[qs].max(axis=0) + 1
+    level = np.array(level, dtype=np.int64)
+    for _ in range(copies):
+        level = (transfer + level).max(axis=1)
+    return int(level.max())
 
 
 def gate_counts(circuit: Circuit) -> dict[str, int]:
     """Per-kind op counts plus a ``total`` entry."""
-    counts = Counter(op.kind for op in circuit.ops)
+    prologue, block, copies = circuit.parts()
+    counts = Counter(op.kind for op in prologue)
+    for kind, count in Counter(op.kind for op in block).items():
+        counts[kind] += copies * count
     result = {kind: counts.get(kind, 0) for kind in GATE_KINDS}
     result["total"] = len(circuit.ops)
     return result
@@ -191,12 +239,17 @@ def decompose_mcx(circuit: Circuit, ancillas=None) -> Circuit:
     are restored to |0> by each chain. With ``ancillas=None`` fresh qubits
     are allocated past the current width instead (one shared pool, sized
     for the widest MCX). Emitted circuits use only {H, X, Z, CX, CCX}.
+    The prologue and one block are expanded; the expanded block is
+    repeated as many times as the block was.
     """
-    mcx_ops = [op for op in circuit.ops if op.kind == "mcx"]
-    if not mcx_ops:
-        return Circuit(circuit.width, list(circuit.ops), dict(circuit.labels))
+    prologue, block, copies = circuit.parts()
+    widest = max((len(op.controls) for op in prologue + block if op.kind == "mcx"),
+                 default=0)
+    if not widest:
+        return Circuit(circuit.width, list(circuit.ops), dict(circuit.labels),
+                       circuit.repeat)
 
-    need = max(len(op.controls) for op in mcx_ops) - 2
+    need = widest - 2
     if ancillas is None:
         pool = list(range(circuit.width, circuit.width + need))
         new_width = circuit.width + need
@@ -209,31 +262,40 @@ def decompose_mcx(circuit: Circuit, ancillas=None) -> Circuit:
                 raise ValueError(f"ancilla index {q} out of range")
         new_width = circuit.width
 
-    out = Circuit(new_width, labels=dict(circuit.labels))
-    for op in circuit.ops:
-        if op.kind != "mcx":
-            out.append(op)
-            continue
-        busy = set(op.qubits())
-        usable = [q for q in pool if q not in busy]
-        wanted = len(op.controls) - 2
-        if len(usable) < wanted:
-            raise ValueError(
-                f"mcx with {len(op.controls)} controls needs {wanted} clean "
-                f"ancillas, only {len(usable)} available"
-            )
-        out.extend(_vchain(op.controls, op.target, usable[:wanted]))
-    return out
+    def expand(ops: list[GateOp]) -> list[GateOp]:
+        out = []
+        for op in ops:
+            if op.kind != "mcx":
+                out.append(op)
+                continue
+            busy = set(op.qubits())
+            usable = [q for q in pool if q not in busy]
+            wanted = len(op.controls) - 2
+            if len(usable) < wanted:
+                raise ValueError(
+                    f"mcx with {len(op.controls)} controls needs {wanted} clean "
+                    f"ancillas, only {len(usable)} available"
+                )
+            out.extend(_vchain(op.controls, op.target, usable[:wanted]))
+        return out
+
+    head, body = expand(prologue), expand(block)
+    return Circuit(new_width, head + body * copies, dict(circuit.labels),
+                   (len(body), copies))
+
+
+def _op_line(op: GateOp) -> str:
+    return " ".join([op.kind, *map(str, op.qubits())]) + "\n"
 
 
 def serialize(circuit: Circuit) -> str:
     """Render the textual format. Little-endian indices, ASCII, \\n endings."""
-    lines = [f"width {circuit.width}"]
+    prologue, block, copies = circuit.parts()
+    lines = [f"width {circuit.width}\n"]
     for name, indices in circuit.labels.items():
-        lines.append("label " + name + " " + " ".join(str(q) for q in indices))
-    for op in circuit.ops:
-        lines.append(" ".join([op.kind, *map(str, op.qubits())]))
-    return "\n".join(lines) + "\n"
+        lines.append("label " + name + " " + " ".join(str(q) for q in indices) + "\n")
+    lines.extend(map(_op_line, prologue))
+    return "".join(lines) + "".join(map(_op_line, block)) * copies
 
 
 def _parse_int(token: str, line_number: int) -> int:

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from . import arithmetic, circuit, grover, obfuscator
+from . import arithmetic, circuit, grover, obfuscator, statevector
 from .errors import ConstraintError, ResourceLimitError
 
 HEAVY_QUBITS = 20
@@ -98,6 +98,9 @@ def cmd_bench(args) -> int:
                 f"qubits (> {HEAVY_QUBITS}); pass --heavy to simulate it "
                 f"or --plan-only to skip simulation"
             )
+    if not args.plan_only:
+        for obf_plan in plans:
+            statevector.check_width(obf_plan.total_qubits)
     lines = [BENCH_HEADER]
     for obf_plan in plans:
         built = obfuscator.build_full_circuit(obf_plan)

@@ -14,6 +14,7 @@ the triple sum, with the |-> phase ancilla last (index 3n+4).
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -36,6 +37,10 @@ DEFAULT_SEED = 0
 
 # ops in one full circuit; every target with n <= 8 fits (at most 997,296, at N=765)
 MAX_CIRCUIT_OPS = 1 << 21
+
+# the round count divides 2^(3*bits) by the solution count as a float;
+# up to this width that quotient fits for every target
+MAX_PLAN_BITS = (sys.float_info.max_exp - 1) // 3
 
 
 @dataclass(frozen=True)
@@ -129,23 +134,33 @@ def reachable_bound(bits: int) -> int:
 def plan(target: int, bits: int | None = None) -> ObfuscationPlan:
     """Choose the register width (minimal unless given) and the Grover rounds.
 
-    Raises a constraint error for target < 1, or when an explicit
-    ``bits`` is too small for the target.
+    Raises a constraint error for target < 1, when an explicit ``bits``
+    is too small for the target, or when the registers are so wide that
+    the round count overflows a float.
     """
     if bits is None:
         bits = 1
         while reachable_bound(bits) < target:
             bits += 1
     base = ObfuscationPlan(target, bits, 0)
-    rounds = grover.optimal_iterations(base.space_size, base.solution_count)
+    try:
+        rounds = grover.optimal_iterations(base.space_size, base.solution_count)
+    except OverflowError:
+        raise ConstraintError(
+            f"{bits}-bit registers are too wide to plan: the round count "
+            f"(pi/4)*sqrt(2^{3 * bits}/solutions) overflows a float; every "
+            f"target plans up to --bits {MAX_PLAN_BITS}"
+        ) from None
     return replace(base, iterations=rounds)
 
 
 def build_full_circuit(obf_plan: ObfuscationPlan) -> Circuit:
     """Initialization layer plus the planned number of Grover rounds.
 
-    Raises a resource error, before any round is laid out, when the
-    circuit would have more than MAX_CIRCUIT_OPS ops.
+    One round (oracle then diffuser) is built once; the circuit's op
+    list repeats the same op objects once per round and its ``repeat``
+    marks the rounds. Raises a resource error, before the rounds are
+    laid out, when the circuit would have more than MAX_CIRCUIT_OPS ops.
     """
     width = obf_plan.total_qubits
     qubit_map = obf_plan.qubit_map
@@ -154,25 +169,20 @@ def build_full_circuit(obf_plan: ObfuscationPlan) -> Circuit:
         name: spec if isinstance(spec, tuple) else (spec,)
         for name, spec in qubit_map.items()
     }
-    circuit = Circuit(width, labels=labels)
-    for q in obf_plan.input_qubits:
-        circuit.append(h(q))
-    circuit.append(x(grover_ancilla))
-    circuit.append(h(grover_ancilla))
+    prologue = [h(q) for q in obf_plan.input_qubits]
+    prologue += [x(grover_ancilla), h(grover_ancilla)]
     oracle, _ = grover.build_oracle(obf_plan.bits, obf_plan.target)
     diffuser = grover.build_diffuser(obf_plan.input_qubits, grover_ancilla, width=width)
-    per_round = len(oracle.ops) + len(diffuser.ops)
-    total = len(circuit.ops) + obf_plan.iterations * per_round
+    one_round = oracle.ops + diffuser.ops
+    total = len(prologue) + obf_plan.iterations * len(one_round)
     if total > MAX_CIRCUIT_OPS:
         raise ResourceLimitError(
             f"target {obf_plan.target} with {obf_plan.bits}-bit registers needs "
-            f"{obf_plan.iterations} rounds of {per_round} ops ({total} ops); "
+            f"{obf_plan.iterations} rounds of {len(one_round)} ops ({total} ops); "
             f"the circuit budget is {MAX_CIRCUIT_OPS} ops"
         )
-    for _ in range(obf_plan.iterations):
-        circuit.extend(oracle.ops)
-        circuit.extend(diffuser.ops)
-    return circuit
+    return Circuit(width, prologue + one_round * obf_plan.iterations, labels,
+                   (len(one_round), obf_plan.iterations))
 
 
 def simulate(obf_plan: ObfuscationPlan) -> tuple[StateVector, float]:

@@ -87,8 +87,8 @@ class Histogram:
                 raise ValueError(f"bad histogram key {key!r} for width {self.width}")
 
 
-def zero_state(width: int, max_width: int | None = None) -> StateVector:
-    """|0...0> on ``width`` qubits."""
+def check_width(width: int, max_width: int | None = None):
+    """Refuse a state width below 1 or above the cap (``max_qubits()`` by default)."""
     cap = max_qubits() if max_width is None else max_width
     if width < 1:
         raise ConstraintError(f"width must be >= 1, got {width}")
@@ -101,6 +101,11 @@ def zero_state(width: int, max_width: int | None = None) -> StateVector:
             f"complex doubles ({pretty}); cap is {cap} "
             f"qubits (QOBF_MAX_QUBITS overrides)"
         )
+
+
+def zero_state(width: int, max_width: int | None = None) -> StateVector:
+    """|0...0> on ``width`` qubits."""
+    check_width(width, max_width)
     amplitudes = np.zeros(2**width, dtype=np.complex128)
     amplitudes[0] = 1.0
     return StateVector(width, amplitudes)

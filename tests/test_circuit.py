@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qobf.circuit import (
+    GATE_KINDS,
     Circuit,
     GateOp,
     ccx,
@@ -194,3 +197,113 @@ def test_parse_error_reporting():
         parse("width 2\nh 5\n")  # out of range
     with pytest.raises(CircuitParseError):
         parse("")
+
+
+def reference_depth(circuit):
+    """Greedy ASAP layering over the flat op list, gate by gate."""
+    level = [0] * circuit.width
+    for op in circuit.ops:
+        layer = 1 + max(level[q] for q in op.qubits())
+        for q in op.qubits():
+            level[q] = layer
+    return max(level)
+
+
+def flat(circuit):
+    return Circuit(circuit.width, list(circuit.ops), dict(circuit.labels))
+
+
+def test_repeat_must_describe_the_op_list():
+    ops = [h(0), cx(0, 1), x(1), cx(0, 1), x(1)]
+    assert Circuit(2, ops, repeat=(2, 2)).parts() == ([h(0)], [cx(0, 1), x(1)], 2)
+    assert Circuit(2, ops, repeat=(1, 1)).parts() == (ops[:4], [x(1)], 1)
+    assert Circuit(2, ops, repeat=(3, 0)).parts() == (ops, [], 0)
+    for bad in ((2, 3), (3, 2), (5, 2), (-1, 1), (1, -1), (1, 2)):
+        with pytest.raises(ValueError):
+            Circuit(2, ops, repeat=bad)
+    with pytest.raises(ValueError):
+        Circuit(2, [h(0), x(1), x(1)], repeat=(1, 3))  # h(0) != x(1)
+    with pytest.raises(ValueError):
+        Circuit(2, [h(0)] + [x(2)] * 3, repeat=(1, 3))  # block out of range
+
+
+def test_repeat_is_not_part_of_equality():
+    ops = [h(0)] + [cx(0, 1)] * 3
+    assert Circuit(2, ops, repeat=(1, 3)) == Circuit(2, list(ops))
+
+
+def test_append_clears_repeat_and_metrics_stay_right():
+    circuit = Circuit(3, [h(0)] + [cx(0, 1), ccx(0, 1, 2)] * 4, repeat=(2, 4))
+    assert depth(circuit) == 9
+    circuit.append(h(2))
+    assert circuit.repeat == (0, 0)
+    assert depth(circuit) == reference_depth(circuit) == 10
+    assert gate_counts(circuit) == {"h": 2, "x": 0, "z": 0, "cx": 4, "ccx": 4,
+                                    "mcx": 0, "total": 10}
+    circuit.extend([x(0)])
+    assert circuit.repeat == (0, 0)
+    assert serialize(circuit).endswith("h 2\nx 0\n")
+
+
+def test_inverse_and_compose_of_a_repeated_circuit_are_flat():
+    rounds = Circuit(5, [h(0), x(4)] + [mcx((0, 1, 2), 3), cx(3, 4), h(1)] * 6,
+                     repeat=(3, 6))
+    for derived in (inverse(rounds), compose(rounds, Circuit(5, [z(2)])),
+                    compose(Circuit(5, [z(2)]), rounds)):
+        assert derived.repeat == (0, 0)
+        assert depth(derived) == reference_depth(derived)
+        assert gate_counts(derived)["mcx"] == 6
+    assert depth(inverse(rounds)) == depth(rounds)
+    assert gate_counts(inverse(rounds)) == gate_counts(rounds)
+
+
+def test_decompose_keeps_the_repeat_of_the_expanded_block():
+    rounds = Circuit(6, [h(0)] + [mcx((0, 1, 2, 3), 4), x(5)] * 3, repeat=(2, 3))
+    expanded = decompose_mcx(rounds)
+    assert expanded.repeat == (6, 3)
+    assert expanded.ops == decompose_mcx(flat(rounds)).ops
+    assert expanded.width == 8
+
+
+@st.composite
+def gate_ops(draw, width):
+    kind = draw(st.sampled_from(GATE_KINDS))
+    controls = {"cx": 1, "ccx": 2, "mcx": draw(st.integers(3, width - 1))}.get(kind, 0)
+    qubits = draw(st.permutations(range(width)))[:controls + 1]
+    return GateOp(kind, tuple(qubits[1:]), qubits[0])
+
+
+@st.composite
+def repeated_circuits(draw):
+    width = draw(st.integers(4, 7))
+    prologue = draw(st.lists(gate_ops(width), max_size=6))
+    block = draw(st.lists(gate_ops(width), max_size=6))
+    copies = draw(st.integers(0, 5))
+    labels = {"in": (0, 1)} if draw(st.booleans()) else {}
+    return Circuit(width, prologue + block * copies, labels, (len(block), copies))
+
+
+def _decomposed(circuit, ancillas):
+    try:
+        out = decompose_mcx(circuit, ancillas)
+    except ValueError as exc:
+        return str(exc)
+    return out.width, out.ops, depth(out), gate_counts(out), serialize(out)
+
+
+@given(repeated_circuits(), st.none() | st.sets(st.integers(0, 6), max_size=4))
+def test_repeated_circuit_metrics_match_the_flat_op_list(circuit, pool):
+    plain = flat(circuit)
+    assert depth(circuit) == depth(plain) == reference_depth(plain)
+    assert gate_counts(circuit) == gate_counts(plain)
+    assert serialize(circuit) == serialize(plain)
+    if pool is not None:
+        pool = sorted(q for q in pool if q < circuit.width)
+    assert _decomposed(circuit, pool) == _decomposed(plain, pool)
+
+
+@given(repeated_circuits())
+def test_parse_inverts_serialize_on_random_circuits(circuit):
+    again = parse(serialize(circuit))
+    assert again == circuit
+    assert again.labels == circuit.labels

@@ -1,12 +1,13 @@
 """Front-end behavior: output formats, determinism, exit codes."""
 
 import json
+import time
 
 import pytest
 
 from qobf import cli
 from qobf.circuit import parse
-from qobf.obfuscator import MAX_CIRCUIT_OPS
+from qobf.obfuscator import MAX_CIRCUIT_OPS, MAX_PLAN_BITS
 
 
 def invoke(capsys, *argv):
@@ -165,6 +166,31 @@ def test_oversized_requests_exit_3_naming_the_budget(capsys, monkeypatch, argv, 
     assert out == ""
     assert err.startswith("error:")
     assert budget in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("inspect", "--n-value", "3", "--bits", "400"),
+    ("export", "--n-value", "3", "--bits", "400"),
+    ("obfuscate", "--n-value", "3", "--bits", "400"),
+    ("bench", "--plan-only", "--targets", str(2**1030)),
+])
+def test_registers_too_wide_to_plan_exit_2_naming_the_limit(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert f"--bits {MAX_PLAN_BITS}" in err
+
+
+def test_bench_heavy_checks_the_qubit_cap_before_any_simulation(capsys, monkeypatch):
+    # N=127 (26 qubits) would simulate for about 40 s before N=765 (29) is refused
+    monkeypatch.delenv("QOBF_MAX_QUBITS", raising=False)
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "bench", "--heavy", "--targets", "127,765")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "cap is 26 qubits" in err
 
 
 def test_bench_rejects_malformed_targets(capsys):

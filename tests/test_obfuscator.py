@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from qobf.circuit import gate_counts
+from qobf import grover
+from qobf.circuit import Circuit, decompose_mcx, depth, gate_counts, h, x
 from qobf.errors import ConstraintError
 from qobf.obfuscator import (
+    MAX_PLAN_BITS,
     DecodedHistogram,
     ObfuscationPlan,
     build_full_circuit,
@@ -57,6 +59,17 @@ def test_plan_rejects_bad_targets():
     assert "3" in str(info.value)  # message cites the 3*(2^bits - 1) bound
 
 
+def test_plan_refuses_widths_whose_round_count_overflows_a_float():
+    assert MAX_PLAN_BITS == 341
+    assert plan(3, MAX_PLAN_BITS).iterations > 0
+    # 2^1026 / 10 solutions still fits a float, so this width plans as before
+    assert plan(3, 342).iterations == grover.optimal_iterations(2**1026, 10)
+    for target, bits in [(3, 343), (3, 400)]:
+        with pytest.raises(ConstraintError) as info:
+            plan(target, bits)
+        assert f"--bits {MAX_PLAN_BITS}" in str(info.value)
+
+
 def test_plan_qubit_map_layout():
     case = plan(19, 3)
     assert case.qubit_map["x"] == (0, 1, 2)
@@ -93,6 +106,36 @@ def test_full_circuit_width_and_prelude():
         assert kinds == ["h"] * (3 * bits) + ["x", "h"]
         assert prelude[-1].target == case.qubit_map["grover_ancilla"]
         assert circuit.labels["x"] == case.qubit_map["x"]
+
+
+def reference_full_circuit(case):
+    """The full circuit appended op by op, one round after another."""
+    circuit = Circuit(case.total_qubits)
+    for q in case.input_qubits:
+        circuit.append(h(q))
+    circuit.append(x(case.total_qubits - 1))
+    circuit.append(h(case.total_qubits - 1))
+    oracle, _ = grover.build_oracle(case.bits, case.target)
+    diffuser = grover.build_diffuser(case.input_qubits, case.total_qubits - 1,
+                                     width=case.total_qubits)
+    for _ in range(case.iterations):
+        circuit.extend(oracle.ops + diffuser.ops)
+    return circuit
+
+
+@pytest.mark.parametrize("target", [*range(1, 64), 375, 757])
+def test_full_circuit_equals_the_round_by_round_build(target):
+    case = plan(target)
+    built = build_full_circuit(case)
+    reference = reference_full_circuit(case)
+    assert built.ops == reference.ops
+    assert built.repeat[1] == case.iterations
+    flat = Circuit(built.width, list(built.ops), dict(built.labels))
+    assert gate_counts(built) == gate_counts(reference)
+    assert depth(built) == depth(flat)
+    expanded, flat_expanded = decompose_mcx(built), decompose_mcx(flat)
+    assert expanded.ops == flat_expanded.ops
+    assert depth(expanded) == depth(flat_expanded)
 
 
 def test_zero_iteration_plan_builds_bare_initialization():
