@@ -42,6 +42,9 @@ MAX_CIRCUIT_OPS = 1 << 21
 # up to this width that quotient fits for every target
 MAX_PLAN_BITS = (sys.float_info.max_exp - 1) // 3
 
+# shots one run may draw; sampling takes about 1.4 s per 10^8 shots
+MAX_SHOTS = 10**9
+
 
 @dataclass(frozen=True)
 class ObfuscationPlan:
@@ -142,15 +145,21 @@ def plan(target: int, bits: int | None = None) -> ObfuscationPlan:
         bits = 1
         while reachable_bound(bits) < target:
             bits += 1
+    too_wide = ConstraintError(
+        f"{bits}-bit registers are too wide to plan: the round count "
+        f"(pi/4)*sqrt(2^{3 * bits}/solutions) overflows a float; every "
+        f"target plans up to --bits {MAX_PLAN_BITS}"
+    )
+    # fewer than (target+2)^2 triplets solve it, so from here on the
+    # quotient exceeds 2^max_exp; deciding that from bit lengths builds
+    # no 2^bits integer
+    if 3 * bits - 2 * (target + 2).bit_length() >= sys.float_info.max_exp:
+        raise too_wide
     base = ObfuscationPlan(target, bits, 0)
     try:
         rounds = grover.optimal_iterations(base.space_size, base.solution_count)
     except OverflowError:
-        raise ConstraintError(
-            f"{bits}-bit registers are too wide to plan: the round count "
-            f"(pi/4)*sqrt(2^{3 * bits}/solutions) overflows a float; every "
-            f"target plans up to --bits {MAX_PLAN_BITS}"
-        ) from None
+        raise too_wide from None
     return replace(base, iterations=rounds)
 
 
@@ -246,7 +255,14 @@ def encode(xv: int, yv: int, zv: int, bits: int) -> str:
 
 def run(obf_plan: ObfuscationPlan, shots: int = DEFAULT_SHOTS,
         seed: int = DEFAULT_SEED) -> DecodedHistogram:
-    """Simulate, sample the input qubits, and decode every outcome."""
+    """Simulate, sample the input qubits, and decode every outcome.
+
+    Raises a resource error, before simulating, for more than MAX_SHOTS shots.
+    """
+    if shots > MAX_SHOTS:
+        raise ResourceLimitError(
+            f"{shots} shots exceed the sampling budget of {MAX_SHOTS} shots"
+        )
     state, _ = simulate(obf_plan)
     marginal = marginal_probabilities(state, obf_plan.input_qubits)
     counts = sample_counts(marginal, shots, seed)

@@ -3,15 +3,26 @@
 Amplitudes are complex128 and the basis convention is little-endian
 everywhere: bit k of a basis index (weight 2^k) is qubit k.
 
+``run_circuit`` first picks a qubit layout for the whole call: the
+qubits are ordered by how many H/Z gates they carry, fewest on bit 0
+and most on the top bit. A butterfly on bit k works on contiguous
+halves of 2^k amplitudes, so this puts the busy qubits (for the
+pipeline, the 3n inputs) where those halves are long. The state is
+moved into the layout once with one strided copy and moved back once
+at the end; an identity layout skips both.
+
 X, CX, CCX and MCX permute basis states, so ``run_circuit`` splits the
 op list into maximal runs of them and applies each run as one gather
-through a precomputed index array, built by pushing packed bit planes
-through the run's gates. A run that recurs (every Grover round repeats
-the same ops) is compiled once per call. H and Z are applied gate by
-gate on a (hi, 2, lo) view that splits the target bit. Every amplitude
-comes out bit for bit as gate-by-gate application would leave it: a
-gather only moves values, and the H butterfly does its arithmetic in
-one fixed order. Gate fusion of this kind follows Haener & Steiger,
+through a precomputed index array, built in the layout by pushing
+packed bit planes through the run's gates. A run that recurs (every
+Grover round repeats the same ops) is compiled once per call. H and Z
+are applied gate by gate on a (hi, 2, lo) view that splits the target
+bit; H goes through it in pieces of BUTTERFLY_CHUNK amplitudes with
+one reused temporary, so each piece stays in cache. Every amplitude
+comes out bit for bit as gate-by-gate application would leave it: the
+layout moves and the gathers only move values, and the H butterfly
+does each amplitude's arithmetic in one fixed order. Gate fusion and
+qubit reordering of this kind follow Haener & Steiger,
 arXiv:1704.01127.
 
 Measurement is terminal sampling only. Sampling draws shots by inverse
@@ -46,6 +57,10 @@ DEFAULT_MAX_QUBITS = 26
 SAMPLE_CHUNK = 1 << 18
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+# amplitudes an H butterfly works on at a time: 256 KiB of complex128,
+# which stays in a core's L2 cache while the piece is read and written
+BUTTERFLY_CHUNK = 1 << 14
 
 
 def max_qubits() -> int:
@@ -141,52 +156,62 @@ def _initial_plane(qubit: int, nbytes: int) -> np.ndarray:
     return (bit * 0xFF).astype(np.uint8)
 
 
-def _compile_run(run: tuple[GateOp, ...], width: int) -> np.ndarray:
+def _compile_run(run: tuple[GateOp, ...], width: int, place: list[int]) -> np.ndarray:
     """Gather index of a run of X/CX/CCX/MCX gates: new[j] = old[index[j]].
 
-    Every gate in the run is a self-inverse basis permutation, so the
-    source of basis index j is found by applying the gates to j in
-    reverse order. The gates act on packed bit planes, one per touched
-    qubit, 8 basis indices to a byte.
+    Indices are in the layout where qubit q is bit ``place[q]``. Every
+    gate in the run is a self-inverse basis permutation, so the source
+    of basis index j is found by applying the gates to j in reverse
+    order. The gates act on packed bit planes, one per touched bit,
+    8 basis indices to a byte.
     """
     size = 2**width
     nbytes = max(size // 8, 1)
-    touched = {q for op in run for q in op.qubits()}
-    start = {q: _initial_plane(q, nbytes) for q in touched}
-    planes = {q: plane.copy() for q, plane in start.items()}
+    touched = {place[q] for op in run for q in op.qubits()}
+    planes = {bit: _initial_plane(bit, nbytes) for bit in touched}
     for op in reversed(run):
-        flip = planes[op.target]
+        flip = planes[place[op.target]]
         if op.controls:
-            fired = planes[op.controls[0]]
+            fired = planes[place[op.controls[0]]]
             for c in op.controls[1:]:
-                fired = fired & planes[c]
+                fired = fired & planes[place[c]]
             flip ^= fired
         else:
             np.invert(flip, out=flip)
     # int32 holds half the memory of int64 and reaches every index below 2^31
     dtype = np.int32 if width < 32 else np.int64
     index = np.arange(size, dtype=dtype)
-    for q, plane in planes.items():
-        moved = plane ^ start[q]
+    for bit, plane in planes.items():
+        moved = plane ^ _initial_plane(bit, nbytes)
         if moved.any():
             bits = np.unpackbits(moved, count=size, bitorder="little")
-            index ^= np.left_shift(bits, q, dtype=dtype)
+            index ^= np.left_shift(bits, bit, dtype=dtype)
     return index
 
 
-def _butterfly(amplitudes: np.ndarray, gate: GateOp):
-    """H or Z in place, on the (hi, 2, lo) view that splits the target bit."""
-    lo = 2**gate.target
+def _butterfly(amplitudes: np.ndarray, kind: str, bit: int, temp: np.ndarray):
+    """H or Z on index bit ``bit``, in place, on the (hi, 2, lo) view that splits it.
+
+    H works through the halves a and b in pieces of at most
+    ``temp.size`` amplitudes, with ``temp`` as the temporary, so
+    each piece is read and written while it is still in cache.
+    """
+    lo = 2**bit
     view = amplitudes.reshape(-1, 2, lo)
-    a, b = view[:, 0, :], view[:, 1, :]
-    if gate.kind == "h":
-        tmp = a - b
-        a += b
-        a *= _INV_SQRT2
-        tmp *= _INV_SQRT2
-        b[...] = tmp
-    else:
-        b *= -1.0
+    if kind == "z":
+        view[:, 1, :] *= -1.0
+        return
+    rows = max(temp.size // lo, 1)
+    cols = min(lo, temp.size)
+    for r in range(0, view.shape[0], rows):
+        for c in range(0, lo, cols):
+            a = view[r:r + rows, 0, c:c + cols]
+            b = view[r:r + rows, 1, c:c + cols]
+            diff = temp[:a.size].reshape(a.shape)
+            np.subtract(a, b, out=diff)
+            a += b
+            a *= _INV_SQRT2
+            np.multiply(diff, _INV_SQRT2, out=b)
 
 
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
@@ -197,40 +222,71 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
 def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Apply the circuit's ops in order, in place, and return the state.
 
-    Each maximal run of X/CX/CCX/MCX gates is applied as one gather;
-    runs with the same ops are compiled once per call. H and Z are
-    applied gate by gate.
+    The state is moved once into a layout that puts the qubits with the
+    most H/Z gates on the highest index bits (ties by qubit index), so
+    the butterflies mostly work on long contiguous halves, and moved
+    back once at the end; both moves are skipped when that layout is
+    the identity. Each maximal run of X/CX/CCX/MCX gates is applied as
+    one gather whose index is compiled in that layout; runs with the
+    same ops are compiled once per call. H and Z are applied gate by
+    gate, H in pieces of BUTTERFLY_CHUNK amplitudes.
     """
-    if circuit.width != state.width:
+    width = state.width
+    if circuit.width != width:
         raise ValueError(
-            f"circuit width {circuit.width} != state width {state.width}"
+            f"circuit width {circuit.width} != state width {width}"
         )
+    load = [0] * width
     for op in circuit.ops:
-        if max(op.qubits()) >= state.width:
+        if max(op.qubits()) >= width:
             raise ValueError(
                 f"gate {op.kind} touches qubit {max(op.qubits())}, "
-                f"state width {state.width}"
+                f"state width {width}"
             )
+        if op.kind not in _PERMUTATION_KINDS:
+            load[op.target] += 1
+    # bit k of a laid-out index is qubit order[k]; qubit q is bit place[q]
+    order = sorted(range(width), key=lambda q: (load[q], q))
+    place = [0] * width
+    for bit, q in enumerate(order):
+        place[q] = bit
+    relaid = order != list(range(width))
+    # axis k of the (2,)*width view of an index is bit width-1-k
+    tensor = (2,) * width
+    axes = [width - 1 - q for q in reversed(order)]
+
     amplitudes = state.amplitudes
     spare = None
+    if relaid:
+        spare = np.empty_like(amplitudes)
+        spare.reshape(tensor)[...] = amplitudes.reshape(tensor).transpose(axes)
+        amplitudes, spare = spare, amplitudes
+    # a butterfly's halves are at most half the state
+    temp = np.empty(min(BUTTERFLY_CHUNK, amplitudes.size // 2), dtype=amplitudes.dtype)
     compiled: dict[tuple[GateOp, ...], np.ndarray] = {}
     for permutes, group in groupby(circuit.ops, key=lambda op: op.kind in _PERMUTATION_KINDS):
         if not permutes:
             for op in group:
-                _butterfly(amplitudes, op)
+                _butterfly(amplitudes, op.kind, place[op.target], temp)
             continue
         run = tuple(group)
         index = compiled.get(run)
         if index is None:
-            index = compiled[run] = _compile_run(run, state.width)
+            index = compiled[run] = _compile_run(run, width, place)
         if spare is None:
             spare = np.empty_like(amplitudes)
         for lo in range(0, index.size, _GATHER_BLOCK):
             block = slice(lo, lo + _GATHER_BLOCK)
             np.take(amplitudes, index[block], out=spare[block], mode="wrap")
         amplitudes, spare = spare, amplitudes
+    if relaid and amplitudes is state.amplitudes:
+        # numpy would copy an array transposed onto itself through a
+        # temporary the size of the state; the buffer is free for that
+        np.copyto(spare, amplitudes)
+        amplitudes = spare
     if amplitudes is not state.amplitudes:
-        state.amplitudes[...] = amplitudes
+        state.amplitudes.reshape(tensor)[...] = (
+            amplitudes.reshape(tensor).transpose(np.argsort(axes)))
     return state
 
 

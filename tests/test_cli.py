@@ -7,7 +7,7 @@ import pytest
 
 from qobf import cli
 from qobf.circuit import parse
-from qobf.obfuscator import MAX_CIRCUIT_OPS, MAX_PLAN_BITS
+from qobf.obfuscator import MAX_CIRCUIT_OPS, MAX_PLAN_BITS, MAX_SHOTS
 
 
 def invoke(capsys, *argv):
@@ -157,6 +157,8 @@ def test_bench_heavy_target_needs_flag(capsys):
     (("obfuscate", "--n-value", "3", "--bits", "30"), "cap is 26 qubits"),
     (("count", "--n-value", "3", "--bits", "9", "--verify"),
      f"--bits {cli.VERIFY_MAX_BITS}"),
+    (("obfuscate", "--n-value", "19", "--shots", str(MAX_SHOTS + 1)),
+     f"budget of {MAX_SHOTS} shots"),
 ])
 def test_oversized_requests_exit_3_naming_the_budget(capsys, monkeypatch, argv, budget):
     # each of these used to build or loop without bound; now it fails at once
@@ -173,9 +175,14 @@ def test_oversized_requests_exit_3_naming_the_budget(capsys, monkeypatch, argv, 
     ("export", "--n-value", "3", "--bits", "400"),
     ("obfuscate", "--n-value", "3", "--bits", "400"),
     ("bench", "--plan-only", "--targets", str(2**1030)),
+    # decided from bit lengths, before any 2^bits integer is built
+    ("inspect", "--n-value", "3", "--bits", "1000000000"),
+    ("obfuscate", "--n-value", "3", "--bits", "1000000000"),
 ])
 def test_registers_too_wide_to_plan_exit_2_naming_the_limit(capsys, argv):
+    start = time.perf_counter()
     code, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 0.1
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
@@ -183,7 +190,7 @@ def test_registers_too_wide_to_plan_exit_2_naming_the_limit(capsys, argv):
 
 
 def test_bench_heavy_checks_the_qubit_cap_before_any_simulation(capsys, monkeypatch):
-    # N=127 (26 qubits) would simulate for about 40 s before N=765 (29) is refused
+    # N=127 (23 qubits) would simulate for about 14 s before N=765 (29) is refused
     monkeypatch.delenv("QOBF_MAX_QUBITS", raising=False)
     start = time.perf_counter()
     code, out, err = invoke(capsys, "bench", "--heavy", "--targets", "127,765")

@@ -64,10 +64,24 @@ def test_plan_refuses_widths_whose_round_count_overflows_a_float():
     assert plan(3, MAX_PLAN_BITS).iterations > 0
     # 2^1026 / 10 solutions still fits a float, so this width plans as before
     assert plan(3, 342).iterations == grover.optimal_iterations(2**1026, 10)
-    for target, bits in [(3, 343), (3, 400)]:
+    for target, bits in [(3, 343), (3, 400), (3, 10**9)]:
         with pytest.raises(ConstraintError) as info:
             plan(target, bits)
         assert f"--bits {MAX_PLAN_BITS}" in str(info.value)
+
+
+def test_plan_refuses_exactly_the_widths_whose_float_round_count_overflows():
+    # the check from bit lengths must not refuse a width the float math plans
+    for target in (1, 3, 19, 2**40 + 7, 2**300):
+        for bits in range(max(target.bit_length(), 330), 560):
+            try:
+                expected = grover.optimal_iterations(
+                    2 ** (3 * bits), grover.count_solutions(target, bits))
+            except OverflowError:
+                with pytest.raises(ConstraintError):
+                    plan(target, bits)
+            else:
+                assert plan(target, bits).iterations == expected
 
 
 def test_plan_qubit_map_layout():

@@ -1,6 +1,8 @@
 """Gate kernels checked against dense matrices and a gate-by-gate reference kernel."""
 
 import math
+import tracemalloc
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from qobf.circuit import Circuit, GateOp, ccx, cx, h, mcx, x, z
 from qobf.errors import ConstraintError, ResourceLimitError
 from qobf.obfuscator import build_full_circuit, plan
 from qobf.statevector import (
+    BUTTERFLY_CHUNK,
     SAMPLE_CHUNK,
     Histogram,
     apply_gate,
@@ -107,6 +110,37 @@ def random_mixed_circuit(width, seed):
     return circuit
 
 
+def random_layered_circuit(width, seed, shape):
+    """Dense H/Z layers between permutation runs.
+
+    ``shape`` "dense": random layers after one over every qubit, so the
+    run's qubit layout is not the identity; "every": each layer covers
+    every qubit (identity layout, butterflies on every bit); "top": H or
+    Z on the top qubit only (identity layout, halves longer than a
+    butterfly chunk). Odd seeds add a run, so the state ends in either
+    buffer.
+    """
+    rng = np.random.default_rng(seed)
+    circuit = Circuit(width)
+    for k in range(3 + seed % 2):
+        if shape == "top":
+            layer = [width - 1]
+        elif shape == "every" or k == 0:
+            layer = range(width)
+        else:
+            layer = np.flatnonzero(rng.random(width) < 0.6)
+        for q in layer:
+            circuit.append((h if rng.random() < 0.8 else z)(int(q)))
+        circuit.extend(random_permutation_run(rng, width, int(rng.integers(1, 6))))
+    circuit.append(h(width - 1))
+    return circuit
+
+
+def same_bits(a, b):
+    """Equal bit for bit, signs of zeros included."""
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def dense_matrix(circuit):
     full = np.eye(2 ** circuit.width)
     for op in circuit.ops:
@@ -173,13 +207,14 @@ def test_mcx_matches_permutation_matrix():
         )
 
 
-@pytest.mark.parametrize("target", range(1, 22))
+# N=22, 31 and 45 run at 17 qubits, where the inputs' butterflies span whole chunks
+@pytest.mark.parametrize("target", [*range(1, 23), 31, 45])
 def test_pipeline_circuit_equals_gate_by_gate_reference(target):
     circuit = build_full_circuit(plan(target))
     state = zero_state(circuit.width)
     expected = reference_run(state.amplitudes, circuit)
     run_circuit(state, circuit)
-    assert np.array_equal(state.amplitudes, expected)
+    assert same_bits(state.amplitudes, expected)
 
 
 # 17 qubits: a state of two gather blocks
@@ -194,6 +229,50 @@ def test_random_mixed_circuit_equals_gate_by_gate_reference(width):
         run_circuit(state, circuit)
         assert state.amplitudes is amplitudes
         assert np.array_equal(amplitudes, expected)
+
+
+# from width 15 on, a butterfly's halves reach one chunk (2^14 amplitudes) and beyond
+@pytest.mark.parametrize("shape", ["dense", "every", "top"])
+@pytest.mark.parametrize("width", range(15, 19))
+def test_dense_layers_at_full_width_equal_gate_by_gate_reference(width, shape):
+    for seed in range(2):
+        circuit = random_layered_circuit(width, seed=10 * width + seed, shape=shape)
+        state = zero_state(width)
+        amplitudes = state.amplitudes
+        amplitudes[:] = random_state(width, seed)
+        expected = reference_run(amplitudes, circuit)
+        run_circuit(state, circuit)
+        assert state.amplitudes is amplitudes
+        assert same_bits(amplitudes, expected)
+
+
+def traced_peak(state, circuit):
+    """Peak bytes allocated while run_circuit runs, the state not counted."""
+    tracemalloc.start()
+    try:
+        run_circuit(state, circuit)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_circuit_memory_stays_within_budget():
+    # beside the state: a gather buffer of the same size, one int32 index
+    # (a quarter state) per distinct permutation run, one butterfly chunk,
+    # and under half a state of temporaries while a run compiles
+    circuit = build_full_circuit(plan(31))
+    runs = {tuple(group) for permutes, group in
+            groupby(circuit.ops, key=lambda op: op.kind not in ("h", "z")) if permutes}
+    assert len(runs) == 3
+    state = zero_state(circuit.width)
+    size = state.amplitudes.nbytes
+    chunk = BUTTERFLY_CHUNK * state.amplitudes.itemsize
+    assert traced_peak(state, circuit) <= size + len(runs) * size // 4 + size // 2 + chunk
+    # with no permutation run, moving into and out of the layout needs
+    # only the buffer (plus small objects and copy buffers, under 64 KiB):
+    # a full-state temporary in either move breaks this
+    layers = Circuit(circuit.width, [h(0), z(1), h(0)])
+    assert traced_peak(state, layers) <= size + chunk + 2**16
 
 
 @pytest.mark.parametrize("width", range(1, 7))
