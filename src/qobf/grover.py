@@ -34,6 +34,10 @@ def count_solutions(target: int, bits: int) -> int:
         raise ConstraintError(f"bits must be >= 1, got {bits}")
     if target < 0:
         raise ConstraintError(f"target must be >= 0, got {target}")
+    if target.bit_length() <= bits:
+        # target < 2^bits: only the j = 0 term counts, and deciding that
+        # from bit lengths builds no 2^bits integer
+        return math.comb(target + 2, 2)
     cap = 2**bits
     total = 0
     for j in range(4):

@@ -9,7 +9,9 @@ valid triplet with probability close to the closed-form ideal.
 
 Register layout over 3n+5 qubits: x on [0, n), y on [n, 2n), z on
 [2n, 3n), followed by the two carry qubits and two adder ancillas of
-the triple sum, with the |-> phase ancilla last (index 3n+4).
+the triple sum, with the |-> phase ancilla last (index 3n+4). The
+simulation stores amplitudes for the 3n+1 inputs and phase ancilla
+only; the other four qubits stay |0> (see ``simulate``).
 """
 
 from __future__ import annotations
@@ -26,9 +28,11 @@ from .circuit import Circuit, h, x
 from .errors import ConstraintError, ResourceLimitError
 from .statevector import (
     StateVector,
+    check_width,
     marginal_probabilities,
     run_circuit,
     sample_counts,
+    stored_qubits,
     zero_state,
 )
 
@@ -197,13 +201,17 @@ def build_full_circuit(obf_plan: ObfuscationPlan) -> Circuit:
 def simulate(obf_plan: ObfuscationPlan) -> tuple[StateVector, float]:
     """Run the full circuit from |0...0>; returns (state, simulation seconds).
 
-    The state is allocated first, so a width over the qubit cap fails
-    before the circuit is built. The timing covers simulation,
-    including compiling the permutation runs, but not circuit
-    construction.
+    The width is checked against the qubit cap first, so a width over
+    it fails before the circuit is built. The state stores only the
+    qubits that carry an H (``stored_qubits``): the inputs and the
+    phase ancilla. The carries and adder ancillas stay |0>, because
+    every permutation run returns them there, which ``run_circuit``
+    checks before it starts. The timing covers simulation, including
+    compiling the permutation runs, but not circuit construction.
     """
-    state = zero_state(obf_plan.total_qubits)
+    check_width(obf_plan.total_qubits)
     circuit = build_full_circuit(obf_plan)
+    state = zero_state(circuit.width, stored=stored_qubits(circuit))
     start = time.perf_counter()
     run_circuit(state, circuit)
     elapsed = time.perf_counter() - start

@@ -1,29 +1,43 @@
-"""Exact dense statevector simulation of the {H, X, Z, CX, CCX, MCX} gate set.
+"""Exact statevector simulation of the {H, X, Z, CX, CCX, MCX} gate set.
 
 Amplitudes are complex128 and the basis convention is little-endian
-everywhere: bit k of a basis index (weight 2^k) is qubit k.
+everywhere: in a dense state, bit k of a basis index (weight 2^k) is
+qubit k.
+
+A state need not hold every qubit. ``StateVector.stored`` lists the
+qubits it holds: bit k of an amplitude index is qubit ``stored[k]``,
+and every other qubit is |0>. A dense state stores all of them in
+order. The pipeline's carries and adder ancillas carry no H or Z, and
+every permutation run returns them to |0>, so ``obfuscator.simulate``
+stores only the other qubits (``stored_qubits``), 1/16 of the dense
+state. ``run_circuit`` refuses, with a ValueError naming the qubit and
+before any amplitude is touched, an H or Z on a qubit that is not
+stored and a permutation run that would leave such a qubit set for
+some basis state: that state would need amplitudes the compact state
+does not hold.
 
 ``run_circuit`` first picks a qubit layout for the whole call: the
-qubits are ordered by how many H/Z gates they carry, fewest on bit 0
-and most on the top bit. A butterfly on bit k works on contiguous
-halves of 2^k amplitudes, so this puts the busy qubits (for the
-pipeline, the 3n inputs) where those halves are long. The state is
+stored qubits are ordered by how many H/Z gates they carry, fewest on
+bit 0 and most on the top bit. A butterfly on bit k works on
+contiguous halves of 2^k amplitudes, so this puts the busy qubits (for
+the pipeline, the 3n inputs) where those halves are long. The state is
 moved into the layout once with one strided copy and moved back once
-at the end; an identity layout skips both.
+at the end; a state already stored in that order skips both.
 
 X, CX, CCX and MCX permute basis states, so ``run_circuit`` splits the
 op list into maximal runs of them and applies each run as one gather
 through a precomputed index array, built in the layout by pushing
 packed bit planes through the run's gates. A run that recurs (every
-Grover round repeats the same ops) is compiled once per call. H and Z
-are applied gate by gate on a (hi, 2, lo) view that splits the target
-bit; H goes through it in pieces of BUTTERFLY_CHUNK amplitudes with
-one reused temporary, so each piece stays in cache. Every amplitude
-comes out bit for bit as gate-by-gate application would leave it: the
-layout moves and the gathers only move values, and the H butterfly
-does each amplitude's arithmetic in one fixed order. Gate fusion and
-qubit reordering of this kind follow Haener & Steiger,
-arXiv:1704.01127.
+Grover round repeats the same ops) is compiled once per call, and
+every run is compiled before the first gate is applied. H and Z are
+applied gate by gate on a (hi, 2, lo) view that splits the target bit;
+H goes through it in pieces of BUTTERFLY_CHUNK amplitudes with one
+reused temporary, so each piece stays in cache. Every stored amplitude
+comes out bit for bit as gate-by-gate application on the dense state
+would leave it: the layout moves and the gathers only move values, and
+the H butterfly does each amplitude's arithmetic in one fixed order.
+Gate fusion, qubit reordering and leaving out qubits that carry no
+information follow Haener & Steiger, arXiv:1704.01127.
 
 Measurement is terminal sampling only. Sampling draws shots by inverse
 CDF over the marginal distribution of the requested qubits, with
@@ -35,8 +49,9 @@ the same outcome per uniform as one lookup of all of them, so identical
 (state, qubits, shots, seed) give an identical histogram on every
 platform.
 
-Widths above ``max_qubits()`` (default 26, about 1 GiB of amplitudes)
-are refused; set QOBF_MAX_QUBITS or pass an explicit max_width to go
+Widths above ``max_qubits()`` (default 26, about 1 GiB of dense
+amplitudes) are refused; the cap is compared with the full width, not
+the stored one. Set QOBF_MAX_QUBITS or pass an explicit max_width to go
 bigger.
 """
 
@@ -76,10 +91,20 @@ def max_qubits() -> int:
 
 @dataclass
 class StateVector:
-    """Dense pure state over 2^width basis states."""
+    """Pure state over ``width`` qubits, holding amplitudes for ``stored`` only.
+
+    Bit k of an amplitude index is qubit ``stored[k]``; every qubit not
+    in ``stored`` is |0>. ``stored`` defaults to every qubit in order,
+    a dense state of 2^width amplitudes.
+    """
 
     width: int
     amplitudes: np.ndarray
+    stored: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if self.stored is None:
+            self.stored = tuple(range(self.width))
 
     def norm_error(self) -> float:
         """|sum of |amplitude|^2 - 1|, should stay below 1e-9."""
@@ -118,12 +143,18 @@ def check_width(width: int, max_width: int | None = None):
         )
 
 
-def zero_state(width: int, max_width: int | None = None) -> StateVector:
-    """|0...0> on ``width`` qubits."""
+def zero_state(width: int, max_width: int | None = None, stored=None) -> StateVector:
+    """|0...0> on ``width`` qubits, storing the ``stored`` qubits (all by default).
+
+    The cap applies to ``width`` whatever is stored.
+    """
     check_width(width, max_width)
-    amplitudes = np.zeros(2**width, dtype=np.complex128)
+    stored = tuple(range(width)) if stored is None else tuple(stored)
+    if len(set(stored)) != len(stored) or not all(0 <= q < width for q in stored):
+        raise ValueError(f"stored qubits {stored} must be distinct and below width {width}")
+    amplitudes = np.zeros(2 ** len(stored), dtype=np.complex128)
     amplitudes[0] = 1.0
-    return StateVector(width, amplitudes)
+    return StateVector(width, amplitudes, stored)
 
 
 def basis_state(width: int, index: int, max_width: int | None = None) -> StateVector:
@@ -156,33 +187,44 @@ def _initial_plane(qubit: int, nbytes: int) -> np.ndarray:
     return (bit * 0xFF).astype(np.uint8)
 
 
-def _compile_run(run: tuple[GateOp, ...], width: int, place: list[int]) -> np.ndarray:
+def _compile_run(run: tuple[GateOp, ...], width: int, place: dict[int, int]) -> np.ndarray:
     """Gather index of a run of X/CX/CCX/MCX gates: new[j] = old[index[j]].
 
-    Indices are in the layout where qubit q is bit ``place[q]``. Every
-    gate in the run is a self-inverse basis permutation, so the source
-    of basis index j is found by applying the gates to j in reverse
-    order. The gates act on packed bit planes, one per touched bit,
-    8 basis indices to a byte.
+    Indices have ``width`` bits, and stored qubit q is bit ``place[q]``.
+    Every gate in the run is a self-inverse basis permutation, so the
+    source of basis index j is found by applying the gates to j in
+    reverse order. The gates act on packed bit planes, one per touched
+    qubit, 8 basis indices to a byte. A qubit missing from ``place`` is
+    not stored and is 0 in every index, so its plane starts at zero; if
+    it does not end at zero, some basis state would come out of the run
+    with that qubit set, and a ValueError names the qubit.
     """
     size = 2**width
     nbytes = max(size // 8, 1)
-    touched = {place[q] for op in run for q in op.qubits()}
-    planes = {bit: _initial_plane(bit, nbytes) for bit in touched}
+    touched = {q for op in run for q in op.qubits()}
+    planes = {q: _initial_plane(place[q], nbytes) if q in place
+              else np.zeros(nbytes, dtype=np.uint8) for q in touched}
     for op in reversed(run):
-        flip = planes[place[op.target]]
+        flip = planes[op.target]
         if op.controls:
-            fired = planes[place[op.controls[0]]]
+            fired = planes[op.controls[0]]
             for c in op.controls[1:]:
-                fired = fired & planes[place[c]]
+                fired = fired & planes[c]
             flip ^= fired
         else:
             np.invert(flip, out=flip)
+    for q in sorted(touched - place.keys()):
+        if planes[q].any():
+            raise ValueError(
+                f"a run of {len(run)} X/CX/CCX/MCX gates would leave qubit {q} "
+                f"set, but the state does not store it"
+            )
     # int32 holds half the memory of int64 and reaches every index below 2^31
     dtype = np.int32 if width < 32 else np.int64
     index = np.arange(size, dtype=dtype)
-    for bit, plane in planes.items():
-        moved = plane ^ _initial_plane(bit, nbytes)
+    for q in touched & place.keys():
+        bit = place[q]
+        moved = planes[q] ^ _initial_plane(bit, nbytes)
         if moved.any():
             bits = np.unpackbits(moved, count=size, bitorder="little")
             index ^= np.left_shift(bits, bit, dtype=dtype)
@@ -219,23 +261,9 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     return run_circuit(state, Circuit(state.width, [gate]))
 
 
-def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Apply the circuit's ops in order, in place, and return the state.
-
-    The state is moved once into a layout that puts the qubits with the
-    most H/Z gates on the highest index bits (ties by qubit index), so
-    the butterflies mostly work on long contiguous halves, and moved
-    back once at the end; both moves are skipped when that layout is
-    the identity. Each maximal run of X/CX/CCX/MCX gates is applied as
-    one gather whose index is compiled in that layout; runs with the
-    same ops are compiled once per call. H and Z are applied gate by
-    gate, H in pieces of BUTTERFLY_CHUNK amplitudes.
-    """
-    width = state.width
-    if circuit.width != width:
-        raise ValueError(
-            f"circuit width {circuit.width} != state width {width}"
-        )
+def _hz_load(circuit: Circuit) -> list[int]:
+    """H/Z gates on each qubit; refuses a gate past the circuit width."""
+    width = circuit.width
     load = [0] * width
     for op in circuit.ops:
         if max(op.qubits()) >= width:
@@ -245,15 +273,63 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
             )
         if op.kind not in _PERMUTATION_KINDS:
             load[op.target] += 1
+    return load
+
+
+def stored_qubits(circuit: Circuit) -> tuple[int, ...]:
+    """The qubits that carry an H or Z gate, in the order run_circuit lays them out.
+
+    A state started in |0...0> that stores these, in this order, runs
+    the circuit with no move into or out of the H-last layout, provided
+    every permutation run returns the other qubits to |0>.
+    """
+    load = _hz_load(circuit)
+    return tuple(sorted((q for q in range(circuit.width) if load[q]),
+                        key=lambda q: (load[q], q)))
+
+
+def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
+    """Apply the circuit's ops in order, in place, and return the state.
+
+    The state is moved once into a layout that puts the stored qubits
+    with the most H/Z gates on the highest index bits (ties by qubit
+    index), so the butterflies mostly work on long contiguous halves,
+    and moved back once at the end; both moves are skipped when the
+    state is stored in that order. Each maximal run of X/CX/CCX/MCX
+    gates is applied as one gather whose index is compiled in that
+    layout; runs with the same ops are compiled once per call, all
+    before the first gate is applied. H and Z are applied gate by gate,
+    H in pieces of BUTTERFLY_CHUNK amplitudes.
+
+    Raises ValueError, leaving the state as it was, for a width
+    mismatch, a gate past the width, an H or Z on a qubit the state
+    does not store, or a run that would leave such a qubit set.
+    """
+    width = state.width
+    if circuit.width != width:
+        raise ValueError(
+            f"circuit width {circuit.width} != state width {width}"
+        )
+    load = _hz_load(circuit)
+    stored = state.stored
+    for q in range(width):
+        if load[q] and q not in stored:
+            raise ValueError(f"qubit {q} carries an H or Z gate, but the state does not store it")
     # bit k of a laid-out index is qubit order[k]; qubit q is bit place[q]
-    order = sorted(range(width), key=lambda q: (load[q], q))
-    place = [0] * width
-    for bit, q in enumerate(order):
-        place[q] = bit
-    relaid = order != list(range(width))
-    # axis k of the (2,)*width view of an index is bit width-1-k
-    tensor = (2,) * width
-    axes = [width - 1 - q for q in reversed(order)]
+    order = sorted(stored, key=lambda q: (load[q], q))
+    place = {q: bit for bit, q in enumerate(order)}
+    bits = len(order)
+    segments = [(permutes, tuple(group)) for permutes, group in
+                groupby(circuit.ops, key=lambda op: op.kind in _PERMUTATION_KINDS)]
+    compiled: dict[tuple[GateOp, ...], np.ndarray] = {}
+    for permutes, ops in segments:
+        if permutes and ops not in compiled:
+            compiled[ops] = _compile_run(ops, bits, place)
+    relaid = order != list(stored)
+    # axis k of the (2,)*bits view of an index is bit bits-1-k
+    tensor = (2,) * bits
+    position = {q: k for k, q in enumerate(stored)}
+    axes = [bits - 1 - position[q] for q in reversed(order)]
 
     amplitudes = state.amplitudes
     spare = None
@@ -263,16 +339,12 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
         amplitudes, spare = spare, amplitudes
     # a butterfly's halves are at most half the state
     temp = np.empty(min(BUTTERFLY_CHUNK, amplitudes.size // 2), dtype=amplitudes.dtype)
-    compiled: dict[tuple[GateOp, ...], np.ndarray] = {}
-    for permutes, group in groupby(circuit.ops, key=lambda op: op.kind in _PERMUTATION_KINDS):
+    for permutes, ops in segments:
         if not permutes:
-            for op in group:
+            for op in ops:
                 _butterfly(amplitudes, op.kind, place[op.target], temp)
             continue
-        run = tuple(group)
-        index = compiled.get(run)
-        if index is None:
-            index = compiled[run] = _compile_run(run, width, place)
+        index = compiled[ops]
         if spare is None:
             spare = np.empty_like(amplitudes)
         for lo in range(0, index.size, _GATHER_BLOCK):
@@ -306,19 +378,32 @@ def marginal_probabilities(state: StateVector, qubits) -> np.ndarray:
     """Marginal over the listed qubits as a length-2^m array.
 
     Bit k of the returned array's index is the value of ``qubits[k]``.
+    It is read straight from the stored amplitudes; a qubit the state
+    does not store is 0 in every outcome.
     """
     qubits = _check_subset(state, qubits)
-    width = state.width
+    bit = {q: k for k, q in enumerate(state.stored)}
+    kept = [q for q in qubits if q in bit]
+    bits = len(state.stored)
     probs = state.amplitudes.real**2 + state.amplitudes.imag**2
-    tensor = probs.reshape((2,) * width)
-    keep = {width - 1 - q for q in qubits}
-    drop = tuple(ax for ax in range(width) if ax not in keep)
+    tensor = probs.reshape((2,) * bits)
+    keep = {bits - 1 - bit[q] for q in kept}
+    drop = tuple(ax for ax in range(bits) if ax not in keep)
     if drop:
         tensor = tensor.sum(axis=drop)
     remaining = sorted(keep)
-    desired = [width - 1 - q for q in reversed(qubits)]
+    desired = [bits - 1 - bit[q] for q in reversed(kept)]
     tensor = tensor.transpose([remaining.index(ax) for ax in desired])
-    return np.ascontiguousarray(tensor).reshape(-1)
+    marginal = np.ascontiguousarray(tensor).reshape(-1)
+    if len(kept) == len(qubits):
+        return marginal
+    # outcome k of the stored marginal, with the unstored qubits' bits 0
+    outcome = np.zeros(marginal.size, dtype=np.int64)
+    for j, q in enumerate(kept):
+        outcome |= ((np.arange(marginal.size) >> j) & 1) << qubits.index(q)
+    full = np.zeros(2 ** len(qubits))
+    full[outcome] = marginal
+    return full
 
 
 def sample_counts(marginal: np.ndarray, shots: int, seed: int) -> np.ndarray:
@@ -361,6 +446,6 @@ def sample(state: StateVector, qubits, shots: int, seed: int) -> Histogram:
 
 def fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2."""
-    if a.width != b.width:
-        raise ValueError("state widths differ")
+    if a.width != b.width or a.stored != b.stored:
+        raise ValueError("state widths or stored qubits differ")
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)

@@ -190,7 +190,7 @@ def test_registers_too_wide_to_plan_exit_2_naming_the_limit(capsys, argv):
 
 
 def test_bench_heavy_checks_the_qubit_cap_before_any_simulation(capsys, monkeypatch):
-    # N=127 (23 qubits) would simulate for about 14 s before N=765 (29) is refused
+    # N=127 (23 qubits) would simulate for about 1 s before N=765 (29) is refused
     monkeypatch.delenv("QOBF_MAX_QUBITS", raising=False)
     start = time.perf_counter()
     code, out, err = invoke(capsys, "bench", "--heavy", "--targets", "127,765")
@@ -220,6 +220,16 @@ def test_count_plain_and_verified(capsys):
     code, out, _ = invoke(capsys, "count", "--n-value", "0", "--bits", "3")
     assert code == 0
     assert out == "1\n"
+
+
+def test_count_of_a_narrow_target_at_a_huge_width_is_instant(capsys):
+    # 3 < 2^bits, so only the inclusion-exclusion term j = 0 counts; that is
+    # decided from bit lengths, without building a 10^9-bit 2^bits
+    start = time.perf_counter()
+    code, out, _ = invoke(capsys, "count", "--n-value", "3", "--bits", "1000000000")
+    assert time.perf_counter() - start < 0.1
+    assert code == 0
+    assert out == "10\n"
 
 
 def test_count_invalid_bits_exits_2(capsys):

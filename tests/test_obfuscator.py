@@ -185,17 +185,20 @@ def input_register_model(case):
     return amplitudes**2
 
 
+# every reachable target for n <= 4, and N=127 at n = 6 (19 stored qubits)
 DIFFERENTIAL_CASES = [
-    (target, bits) for bits in (1, 2, 3) for target in range(1, 3 * (2**bits - 1) + 1)
-] + [(1, 4), (22, 4), (31, 4), (45, 4)]
+    (target, bits) for bits in (1, 2, 3, 4) for target in range(1, 3 * (2**bits - 1) + 1)
+] + [(127, 6)]
 
 
 @pytest.mark.parametrize("target, bits", DIFFERENTIAL_CASES)
 def test_gate_level_marginal_matches_input_register_model(target, bits):
+    # three models of one run: gate level, input register and closed form
     case = plan(target, bits)
     state, _ = simulate(case)
     marginal = marginal_probabilities(state, case.input_qubits)
     np.testing.assert_allclose(marginal, input_register_model(case), rtol=0, atol=1e-11)
+    assert abs(solution_probability(case, state) - case.theoretical_success) < 1e-9
 
 
 def test_exact_success_matches_closed_form_smallest_case():

@@ -9,7 +9,7 @@ import pytest
 
 from qobf.circuit import Circuit, GateOp, ccx, cx, h, mcx, x, z
 from qobf.errors import ConstraintError, ResourceLimitError
-from qobf.obfuscator import build_full_circuit, plan
+from qobf.obfuscator import build_full_circuit, plan, simulate
 from qobf.statevector import (
     BUTTERFLY_CHUNK,
     SAMPLE_CHUNK,
@@ -22,6 +22,7 @@ from qobf.statevector import (
     run_circuit,
     sample,
     sample_counts,
+    stored_qubits,
     zero_state,
 )
 
@@ -141,6 +142,17 @@ def same_bits(a, b):
     return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def scattered(state):
+    """Dense amplitudes of a compact state: +0.0 wherever an unstored qubit is 1."""
+    outcome = np.arange(state.amplitudes.size)
+    index = np.zeros_like(outcome)
+    for k, q in enumerate(state.stored):
+        index |= ((outcome >> k) & 1) << q
+    dense = np.zeros(2**state.width, dtype=np.complex128)
+    dense[index] = state.amplitudes
+    return dense
+
+
 def dense_matrix(circuit):
     full = np.eye(2 ** circuit.width)
     for op in circuit.ops:
@@ -207,14 +219,39 @@ def test_mcx_matches_permutation_matrix():
         )
 
 
-# N=22, 31 and 45 run at 17 qubits, where the inputs' butterflies span whole chunks
-@pytest.mark.parametrize("target", [*range(1, 23), 31, 45])
+# N=22, 31 and 45 run at 17 qubits, where the inputs' butterflies span whole
+# chunks; N=63 at 20 qubits (16 stored)
+@pytest.mark.parametrize("target", [*range(1, 23), 31, 45, 63])
 def test_pipeline_circuit_equals_gate_by_gate_reference(target):
     circuit = build_full_circuit(plan(target))
     state = zero_state(circuit.width)
     expected = reference_run(state.amplitudes, circuit)
     run_circuit(state, circuit)
     assert same_bits(state.amplitudes, expected)
+    # the pipeline stores only the inputs and the phase ancilla (3n+1 qubits)
+    compact, _ = simulate(plan(target))
+    assert len(compact.stored) == circuit.width - 4
+    assert same_bits(scattered(compact), expected)
+
+
+def test_compact_state_refuses_to_leave_an_unstored_qubit_set():
+    # qubit 1 is not stored. With two H on qubit 0 and one on qubit 2 the
+    # state is already in the layout, so the first H would go straight
+    # into its amplitudes: the refusal must come before it.
+    state = zero_state(3, stored=(2, 0))
+    apply_gate(state, h(0))
+    before = state.amplitudes.copy()
+    for bad in ([x(1)], [cx(0, 1)], [ccx(0, 2, 1), x(0)], [h(1)], [z(1)]):
+        with pytest.raises(ValueError, match=r"\bqubit 1\b"):
+            run_circuit(state, Circuit(3, [h(2), *bad, h(0), h(0)]))
+        assert same_bits(state.amplitudes, before)
+    # a run that returns qubit 1 to |0> for every basis state is fine
+    dense = zero_state(3)
+    apply_gate(dense, h(0))
+    good = Circuit(3, [h(2), cx(0, 1), cx(1, 2), cx(0, 1), x(1), ccx(0, 1, 2), x(1), h(2)])
+    run_circuit(state, good)
+    run_circuit(dense, good)
+    assert same_bits(scattered(state), dense.amplitudes)
 
 
 # 17 qubits: a state of two gather blocks
@@ -273,6 +310,18 @@ def test_run_circuit_memory_stays_within_budget():
     # a full-state temporary in either move breaks this
     layers = Circuit(circuit.width, [h(0), z(1), h(0)])
     assert traced_peak(state, layers) <= size + chunk + 2**16
+    # the compact state stores 13 of the 17 qubits, already in the layout: a
+    # buffer and three indices at that width, and the butterfly temporary,
+    # here half the state; ufuncs on a piece's (rows, cols) views buffer up
+    # to np.getbufsize() amplitudes of each of their three operands. The runs
+    # compile before the buffer exists, so they stay below that.
+    compact = zero_state(circuit.width, stored=stored_qubits(circuit))
+    assert len(compact.stored) == 13
+    size = compact.amplitudes.nbytes
+    piece = min(BUTTERFLY_CHUNK * compact.amplitudes.itemsize, size // 2)
+    buffered = 3 * min(piece, np.getbufsize() * compact.amplitudes.itemsize)
+    assert traced_peak(compact, circuit) <= (size + len(runs) * size // 4 + piece
+                                            + buffered + 2**16)
 
 
 @pytest.mark.parametrize("width", range(1, 7))
@@ -338,6 +387,11 @@ def test_zero_and_basis_state_shapes():
         basis_state(2, 4)
     with pytest.raises(ConstraintError):
         zero_state(0)
+    compact = zero_state(3, stored=(2, 0))
+    assert compact.amplitudes.size == 4 and compact.amplitudes[0] == 1.0
+    for bad in ((0, 0), (3,), (-1,)):
+        with pytest.raises(ValueError):
+            zero_state(3, stored=bad)
 
 
 def test_width_cap_enforced(monkeypatch):
@@ -346,6 +400,8 @@ def test_width_cap_enforced(monkeypatch):
     zero_state(4)
     with pytest.raises(ResourceLimitError):
         zero_state(5)
+    with pytest.raises(ResourceLimitError):  # the cap is on the width, not the stored qubits
+        zero_state(5, stored=(0,))
     monkeypatch.setenv("QOBF_MAX_QUBITS", "banana")
     with pytest.raises(ConstraintError):
         max_qubits()
@@ -360,18 +416,22 @@ def test_explicit_max_width_argument_wins(monkeypatch):
 
 def test_marginal_probabilities_against_bit_loop():
     width = 4
-    state = zero_state(width)
-    state.amplitudes[:] = random_state(width, seed=77)
-    probs = np.abs(state.amplitudes) ** 2
-    for qubits in [(0,), (3,), (1, 2), (2, 0, 3), (3, 2, 1, 0), (0, 1, 2, 3)]:
-        expected = np.zeros(2 ** len(qubits))
-        for i in range(2 ** width):
-            m = 0
-            for k, q in enumerate(qubits):
-                m |= ((i >> q) & 1) << k
-            expected[m] += probs[i]
-        got = marginal_probabilities(state, qubits)
-        np.testing.assert_allclose(got, expected, atol=1e-12)
+    dense = zero_state(width)
+    dense.amplitudes[:] = random_state(width, seed=77)
+    # qubits 1 and 3 not stored: outcomes with either of them set have probability 0
+    compact = zero_state(width, stored=(2, 0))
+    compact.amplitudes[:] = random_state(2, seed=78)
+    for state in (dense, compact):
+        probs = np.abs(scattered(state)) ** 2
+        for qubits in [(0,), (3,), (1, 2), (2, 0, 3), (3, 2, 1, 0), (0, 1, 2, 3)]:
+            expected = np.zeros(2 ** len(qubits))
+            for i in range(2 ** width):
+                m = 0
+                for k, q in enumerate(qubits):
+                    m |= ((i >> q) & 1) << k
+                expected[m] += probs[i]
+            got = marginal_probabilities(state, qubits)
+            np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 def test_marginal_rejects_bad_subsets():
@@ -456,3 +516,5 @@ def test_fidelity_endpoints():
     assert fidelity(zero_state(1), plus) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         fidelity(zero_state(1), zero_state(2))
+    with pytest.raises(ValueError):
+        fidelity(zero_state(2), zero_state(2, stored=(1, 0)))
