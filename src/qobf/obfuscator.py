@@ -28,6 +28,7 @@ from .circuit import Circuit, h, x
 from .errors import ConstraintError, ResourceLimitError
 from .statevector import (
     StateVector,
+    check_sampling,
     check_width,
     marginal_probabilities,
     run_circuit,
@@ -265,12 +266,15 @@ def run(obf_plan: ObfuscationPlan, shots: int = DEFAULT_SHOTS,
         seed: int = DEFAULT_SEED) -> DecodedHistogram:
     """Simulate, sample the input qubits, and decode every outcome.
 
-    Raises a resource error, before simulating, for more than MAX_SHOTS shots.
+    Raises, before simulating, a resource error for more than MAX_SHOTS
+    shots and a constraint error for fewer than one shot or a negative
+    seed.
     """
     if shots > MAX_SHOTS:
         raise ResourceLimitError(
             f"{shots} shots exceed the sampling budget of {MAX_SHOTS} shots"
         )
+    check_sampling(shots, seed)
     state, _ = simulate(obf_plan)
     marginal = marginal_probabilities(state, obf_plan.input_qubits)
     counts = sample_counts(marginal, shots, seed)

@@ -16,28 +16,23 @@ stored and a permutation run that would leave such a qubit set for
 some basis state: that state would need amplitudes the compact state
 does not hold.
 
-``run_circuit`` first picks a qubit layout for the whole call: the
-stored qubits are ordered by how many H/Z gates they carry, fewest on
-bit 0 and most on the top bit. A butterfly on bit k works on
-contiguous halves of 2^k amplitudes, so this puts the busy qubits (for
-the pipeline, the 3n inputs) where those halves are long. The state is
-moved into the layout once with one strided copy and moved back once
-at the end; a state already stored in that order skips both.
+Amplitudes always stay in stored order; ``stored_qubits`` gives the
+H-last order that ``obfuscator.simulate`` allocates.
 
 X, CX, CCX and MCX permute basis states, so ``run_circuit`` splits the
 op list into maximal runs of them and applies each run as one gather
-through a precomputed index array, built in the layout by pushing
-packed bit planes through the run's gates. A run that recurs (every
-Grover round repeats the same ops) is compiled once per call, and
-every run is compiled before the first gate is applied. H and Z are
-applied gate by gate on a (hi, 2, lo) view that splits the target bit;
-H goes through it in pieces of BUTTERFLY_CHUNK amplitudes with one
-reused temporary, so each piece stays in cache. Every stored amplitude
-comes out bit for bit as gate-by-gate application on the dense state
-would leave it: the layout moves and the gathers only move values, and
-the H butterfly does each amplitude's arithmetic in one fixed order.
-Gate fusion, qubit reordering and leaving out qubits that carry no
-information follow Haener & Steiger, arXiv:1704.01127.
+through a precomputed index array, built by pushing packed bit planes
+through the run's gates. A run that recurs (every Grover round repeats
+the same ops) is compiled once per call, and every run is compiled
+before the first gate is applied. H and Z are applied gate by gate on
+a (hi, 2, lo) view that splits the target's bit; H goes through it in
+pieces of BUTTERFLY_CHUNK amplitudes with one reused temporary, so
+each piece stays in cache. Every stored amplitude comes out bit for
+bit as gate-by-gate application on the dense state would leave it:
+the gathers only move values, and the H butterfly does each
+amplitude's arithmetic in one fixed order. Gate fusion, qubit
+reordering and leaving out qubits that carry no information follow
+Haener & Steiger, arXiv:1704.01127.
 
 Measurement is terminal sampling only. Sampling draws shots by inverse
 CDF over the marginal distribution of the requested qubits, with
@@ -187,18 +182,19 @@ def _initial_plane(qubit: int, nbytes: int) -> np.ndarray:
     return (bit * 0xFF).astype(np.uint8)
 
 
-def _compile_run(run: tuple[GateOp, ...], width: int, place: dict[int, int]) -> np.ndarray:
+def _compile_run(run: tuple[GateOp, ...], place: dict[int, int]) -> np.ndarray:
     """Gather index of a run of X/CX/CCX/MCX gates: new[j] = old[index[j]].
 
-    Indices have ``width`` bits, and stored qubit q is bit ``place[q]``.
-    Every gate in the run is a self-inverse basis permutation, so the
-    source of basis index j is found by applying the gates to j in
-    reverse order. The gates act on packed bit planes, one per touched
-    qubit, 8 basis indices to a byte. A qubit missing from ``place`` is
-    not stored and is 0 in every index, so its plane starts at zero; if
-    it does not end at zero, some basis state would come out of the run
-    with that qubit set, and a ValueError names the qubit.
+    Indices have one bit per stored qubit: stored qubit q is bit
+    ``place[q]``. Every gate in the run is a self-inverse basis
+    permutation, so the source of basis index j is found by applying the
+    gates to j in reverse order. The gates act on packed bit planes, one
+    per touched qubit, 8 basis indices to a byte. A qubit missing from
+    ``place`` is not stored and is 0 in every index, so its plane starts
+    at zero; if it does not end at zero, some basis state would come out
+    of the run with that qubit set, and a ValueError names the qubit.
     """
+    width = len(place)
     size = 2**width
     nbytes = max(size // 8, 1)
     touched = {q for op in run for q in op.qubits()}
@@ -277,11 +273,14 @@ def _hz_load(circuit: Circuit) -> list[int]:
 
 
 def stored_qubits(circuit: Circuit) -> tuple[int, ...]:
-    """The qubits that carry an H or Z gate, in the order run_circuit lays them out.
+    """The qubits that carry an H or Z gate, fewest H/Z first (ties by qubit).
 
-    A state started in |0...0> that stores these, in this order, runs
-    the circuit with no move into or out of the H-last layout, provided
-    every permutation run returns the other qubits to |0>.
+    This is the H-last order: a butterfly on bit k works on contiguous
+    halves of 2^k amplitudes, so a state that stores these qubits in
+    this order gives the busiest ones (for the pipeline, the 3n inputs)
+    the longest halves. Such a state started in |0...0> can run the
+    circuit provided every permutation run returns the other qubits to
+    |0>.
     """
     load = _hz_load(circuit)
     return tuple(sorted((q for q in range(circuit.width) if load[q]),
@@ -291,15 +290,13 @@ def stored_qubits(circuit: Circuit) -> tuple[int, ...]:
 def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Apply the circuit's ops in order, in place, and return the state.
 
-    The state is moved once into a layout that puts the stored qubits
-    with the most H/Z gates on the highest index bits (ties by qubit
-    index), so the butterflies mostly work on long contiguous halves,
-    and moved back once at the end; both moves are skipped when the
-    state is stored in that order. Each maximal run of X/CX/CCX/MCX
-    gates is applied as one gather whose index is compiled in that
-    layout; runs with the same ops are compiled once per call, all
-    before the first gate is applied. H and Z are applied gate by gate,
-    H in pieces of BUTTERFLY_CHUNK amplitudes.
+    The amplitudes stay in stored order throughout: qubit
+    ``state.stored[k]`` is index bit k. Each maximal run of
+    X/CX/CCX/MCX gates is applied as one gather into a buffer of the
+    state's size; runs with the same ops are compiled once per call,
+    all before the first gate is applied. H and Z are applied gate by
+    gate, H in pieces of BUTTERFLY_CHUNK amplitudes. After an odd
+    number of gathers the amplitudes are copied back from the buffer.
 
     Raises ValueError, leaving the state as it was, for a width
     mismatch, a gate past the width, an H or Z on a qubit the state
@@ -311,32 +308,20 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
             f"circuit width {circuit.width} != state width {width}"
         )
     load = _hz_load(circuit)
-    stored = state.stored
+    # bit k of an amplitude index is qubit stored[k]; qubit q is bit place[q]
+    place = {q: k for k, q in enumerate(state.stored)}
     for q in range(width):
-        if load[q] and q not in stored:
+        if load[q] and q not in place:
             raise ValueError(f"qubit {q} carries an H or Z gate, but the state does not store it")
-    # bit k of a laid-out index is qubit order[k]; qubit q is bit place[q]
-    order = sorted(stored, key=lambda q: (load[q], q))
-    place = {q: bit for bit, q in enumerate(order)}
-    bits = len(order)
     segments = [(permutes, tuple(group)) for permutes, group in
                 groupby(circuit.ops, key=lambda op: op.kind in _PERMUTATION_KINDS)]
     compiled: dict[tuple[GateOp, ...], np.ndarray] = {}
     for permutes, ops in segments:
         if permutes and ops not in compiled:
-            compiled[ops] = _compile_run(ops, bits, place)
-    relaid = order != list(stored)
-    # axis k of the (2,)*bits view of an index is bit bits-1-k
-    tensor = (2,) * bits
-    position = {q: k for k, q in enumerate(stored)}
-    axes = [bits - 1 - position[q] for q in reversed(order)]
+            compiled[ops] = _compile_run(ops, place)
 
     amplitudes = state.amplitudes
     spare = None
-    if relaid:
-        spare = np.empty_like(amplitudes)
-        spare.reshape(tensor)[...] = amplitudes.reshape(tensor).transpose(axes)
-        amplitudes, spare = spare, amplitudes
     # a butterfly's halves are at most half the state
     temp = np.empty(min(BUTTERFLY_CHUNK, amplitudes.size // 2), dtype=amplitudes.dtype)
     for permutes, ops in segments:
@@ -351,14 +336,8 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
             block = slice(lo, lo + _GATHER_BLOCK)
             np.take(amplitudes, index[block], out=spare[block], mode="wrap")
         amplitudes, spare = spare, amplitudes
-    if relaid and amplitudes is state.amplitudes:
-        # numpy would copy an array transposed onto itself through a
-        # temporary the size of the state; the buffer is free for that
-        np.copyto(spare, amplitudes)
-        amplitudes = spare
     if amplitudes is not state.amplitudes:
-        state.amplitudes.reshape(tensor)[...] = (
-            amplitudes.reshape(tensor).transpose(np.argsort(axes)))
+        np.copyto(state.amplitudes, amplitudes)
     return state
 
 
@@ -406,6 +385,14 @@ def marginal_probabilities(state: StateVector, qubits) -> np.ndarray:
     return full
 
 
+def check_sampling(shots: int, seed: int):
+    """Refuse fewer than one shot or a negative seed."""
+    if shots < 1:
+        raise ConstraintError(f"shots must be >= 1, got {shots}")
+    if seed < 0:
+        raise ConstraintError(f"seed must be >= 0, got {seed}")
+
+
 def sample_counts(marginal: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """Shot counts per outcome index, drawn from ``marginal``.
 
@@ -416,10 +403,7 @@ def sample_counts(marginal: np.ndarray, shots: int, seed: int) -> np.ndarray:
     marginal is located among them, so outcome k gets the draws in
     [cdf[k-1], cdf[k]). Deterministic for a given seed.
     """
-    if shots < 1:
-        raise ConstraintError(f"shots must be >= 1, got {shots}")
-    if seed < 0:
-        raise ConstraintError(f"seed must be >= 0, got {seed}")
+    check_sampling(shots, seed)
     cdf = np.cumsum(marginal)
     rng = np.random.Generator(np.random.PCG64(seed))
     counts = np.zeros(len(marginal), dtype=np.int64)

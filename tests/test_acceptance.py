@@ -4,7 +4,7 @@ Run with `pytest tests/test_acceptance.py -v`. Every test prints a
 PASS/FAIL line straight to the terminal (bypassing capture) so the
 verdicts are visible in any log. The heavy-simulation leg of criterion 8
 (the 23 and 26 qubit targets, plus a full-width N=127 run to compare
-against: about 31 s and 420 MiB peak RSS) only runs when
+against: about 39 s and 420 MiB peak RSS) only runs when
 QOBF_RUN_HEAVY=1 is set.
 """
 

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qobf.arithmetic import (
     AdderLayout,
@@ -15,7 +17,7 @@ from qobf.arithmetic import (
     triple_sum_layout,
     uma,
 )
-from qobf.circuit import Circuit, gate_counts
+from qobf.circuit import Circuit, gate_counts, inverse
 from qobf.statevector import basis_state, run_circuit
 
 
@@ -27,6 +29,15 @@ def final_basis_index(circuit, start_index):
     # X-family gates permute basis states, so the amplitude stays exactly 1
     assert state.amplitudes[hot] == 1.0 + 0.0j
     return hot
+
+
+def permuted_index(circuit, index):
+    """Basis index after an X-family-only circuit, one gate at a time on the integer."""
+    for op in circuit.ops:
+        assert op.kind in ("x", "cx", "ccx", "mcx")
+        if all((index >> c) & 1 for c in op.controls):
+            index ^= 1 << op.target
+    return index
 
 
 def read_bits(index, qubits):
@@ -145,3 +156,17 @@ def test_triple_sum_width_override():
     touched = {q for op in circuit.ops for q in op.qubits()}
     assert touched <= set(range(3 * 2 + 4))
     assert layout.bits == 2
+
+
+@given(st.integers(1, 16).flatmap(
+    lambda n: st.tuples(st.just(n), *[st.integers(0, 2**n - 1)] * 3)))
+def test_triple_sum_on_random_widths(case):
+    n, x_val, y_val, z_val = case
+    circuit, layout = build_triple_sum(n)
+    start = x_val | (y_val << n) | (z_val << (2 * n))
+    out = permuted_index(circuit, start)
+    assert read_bits(out, layout.sum_qubits) == x_val + y_val + z_val
+    assert read_bits(out, layout.x_qubits) == x_val
+    assert read_bits(out, layout.y_qubits + (layout.cout0,)) == x_val + y_val
+    assert (out >> layout.adder2_ancilla) & 1 == 0
+    assert permuted_index(inverse(circuit), out) == start

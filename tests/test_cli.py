@@ -97,13 +97,18 @@ def test_obfuscate_bits_too_small_exits_2(capsys):
     assert "3" in err  # the bound 3*(2^1 - 1) = 3 appears in the message
 
 
-@pytest.mark.parametrize("top", ["0", "-2"])
-def test_obfuscate_top_below_one_exits_2(capsys, top):
-    code, out, err = invoke(capsys, "obfuscate", "--n-value", "19", "--top", top)
+# N=127 simulates for about 1 s, so each refusal has to come before that
+@pytest.mark.parametrize("flag, value", [("--top", "0"), ("--top", "-2"),
+                                         ("--shots", "0"), ("--seed", "-1")])
+def test_obfuscate_bad_flag_value_exits_2_before_simulating(capsys, flag, value):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "obfuscate", "--n-value", "127", flag, value)
+    elapsed = time.perf_counter() - start
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
-    assert "--top" in err
+    assert flag.lstrip("-") in err and f"got {value}" in err
+    assert elapsed < 0.1
 
 
 def test_bench_default_targets(capsys):
