@@ -10,8 +10,9 @@ valid triplet with probability close to the closed-form ideal.
 Register layout over 3n+5 qubits: x on [0, n), y on [n, 2n), z on
 [2n, 3n), followed by the two carry qubits and two adder ancillas of
 the triple sum, with the |-> phase ancilla last (index 3n+4). The
-simulation stores amplitudes for the 3n+1 inputs and phase ancilla
-only; the other four qubits stay |0> (see ``simulate``).
+simulation stores amplitudes for the 3n inputs only: the phase
+ancilla's |1> half is the negation of its |0> half, and the other four
+qubits stay |0> (see ``simulate``).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -204,17 +206,25 @@ def simulate(obf_plan: ObfuscationPlan) -> tuple[StateVector, float]:
 
     The width is checked against the qubit cap first, so a width over
     it fails before the circuit is built. The state stores only the
-    qubits that carry an H (``stored_qubits``): the inputs and the
-    phase ancilla. The carries and adder ancillas stay |0>, because
-    every permutation run returns them there, which ``run_circuit``
-    checks before it starts. The timing covers simulation, including
-    compiling the permutation runs, but not circuit construction.
+    3n inputs, in H-last order (``stored_qubits``). The phase ancilla
+    starts in |-> (``zero_state``'s ``minus``) in place of the
+    prologue's X and H on it, and is then only ever flipped, so its |1>
+    half stays the negation of the stored |0> half. The carries and
+    adder ancillas stay |0>, because every permutation run returns them
+    there, which ``run_circuit`` checks before it starts. The timing
+    covers simulation, including compiling the permutation runs, but
+    not circuit construction.
     """
     check_width(obf_plan.total_qubits)
     circuit = build_full_circuit(obf_plan)
-    state = zero_state(circuit.width, stored=stored_qubits(circuit))
+    ancilla = obf_plan.qubit_map["grover_ancilla"]
+    prologue, block, copies = circuit.parts()
+    body = Circuit(circuit.width,
+                   [op for op in prologue if op.target != ancilla] + block * copies,
+                   circuit.labels, circuit.repeat)
+    state = zero_state(body.width, stored=stored_qubits(body), minus=ancilla)
     start = time.perf_counter()
-    run_circuit(state, circuit)
+    run_circuit(state, body)
     elapsed = time.perf_counter() - start
     return state, elapsed
 
@@ -295,8 +305,14 @@ def run(obf_plan: ObfuscationPlan, shots: int = DEFAULT_SHOTS,
 
 
 def sorted_entries(histogram: DecodedHistogram) -> list[tuple[tuple[int, int, int], int]]:
-    """Entries by count descending, ties by (x, y, z) ascending."""
-    return sorted(histogram.entries.items(), key=lambda kv: (-kv[1], kv[0]))
+    """Entries by count descending, ties by (x, y, z) ascending.
+
+    Two stable sorts: by triplet, then by count, which keeps the
+    triplet order among equal counts.
+    """
+    items = sorted(histogram.entries.items(), key=itemgetter(0))
+    items.sort(key=itemgetter(1), reverse=True)
+    return items
 
 
 def to_json_dict(histogram: DecodedHistogram) -> dict:

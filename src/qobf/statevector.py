@@ -6,15 +6,20 @@ qubit k.
 
 A state need not hold every qubit. ``StateVector.stored`` lists the
 qubits it holds: bit k of an amplitude index is qubit ``stored[k]``,
-and every other qubit is |0>. A dense state stores all of them in
-order. The pipeline's carries and adder ancillas carry no H or Z, and
-every permutation run returns them to |0>, so ``obfuscator.simulate``
-stores only the other qubits (``stored_qubits``), 1/16 of the dense
-state. ``run_circuit`` refuses, with a ValueError naming the qubit and
-before any amplitude is touched, an H or Z on a qubit that is not
-stored and a permutation run that would leave such a qubit set for
-some basis state: that state would need amplitudes the compact state
-does not hold.
+and every other qubit is |0>, except an optional ``minus`` qubit held
+in |->, whose |1> half is implied as 0 - the stored |0> half. A dense
+state stores all of them in order. The pipeline's carries and adder
+ancillas carry no H or Z, and every permutation run returns them to
+|0>; its phase ancilla is prepared in |-> and from then on only
+flipped (phase kickback; Cleve, Ekert, Macchiavello and Mosca,
+quant-ph/9708016). So ``obfuscator.simulate`` stores only the 3n
+inputs (``stored_qubits``), 1/32 of the dense state, with the phase
+ancilla as ``minus``. ``run_circuit`` refuses, with a ValueError
+naming the qubit and before any amplitude is touched, an H or Z on a
+qubit that is not stored, a ``minus`` qubit used as a control, and a
+permutation run that would leave another unstored qubit set for some
+basis state: that state would need amplitudes the compact state does
+not hold.
 
 Amplitudes always stay in stored order; ``stored_qubits`` gives the
 H-last order that ``obfuscator.simulate`` allocates.
@@ -29,8 +34,10 @@ a (hi, 2, lo) view that splits the target's bit; H goes through it in
 pieces of BUTTERFLY_CHUNK amplitudes with one reused temporary, so
 each piece stays in cache. Every stored amplitude comes out bit for
 bit as gate-by-gate application on the dense state would leave it:
-the gathers only move values, and the H butterfly does each
-amplitude's arithmetic in one fixed order. Gate fusion, qubit
+the gathers only move values, the H butterfly does each amplitude's
+arithmetic in one fixed order, and a run that flips the ``minus``
+qubit negates what it brings over from the implied half as 0 - a,
+which leaves a zero +0 as the dense run's (0 - v)/sqrt(2) does. Gate fusion, qubit
 reordering and leaving out qubits that carry no information follow
 Haener & Steiger, arXiv:1704.01127.
 
@@ -89,21 +96,30 @@ class StateVector:
     """Pure state over ``width`` qubits, holding amplitudes for ``stored`` only.
 
     Bit k of an amplitude index is qubit ``stored[k]``; every qubit not
-    in ``stored`` is |0>. ``stored`` defaults to every qubit in order,
-    a dense state of 2^width amplitudes.
+    in ``stored`` is |0>, except ``minus``, which is held in |->: the
+    amplitude with it set is 0 - the stored amplitude with it clear.
+    ``stored`` defaults to every qubit in order, a dense state of
+    2^width amplitudes.
     """
 
     width: int
     amplitudes: np.ndarray
     stored: tuple[int, ...] | None = None
+    minus: int | None = None
 
     def __post_init__(self):
         if self.stored is None:
             self.stored = tuple(range(self.width))
 
     def norm_error(self) -> float:
-        """|sum of |amplitude|^2 - 1|, should stay below 1e-9."""
-        return abs(float(np.sum(self.amplitudes.real**2 + self.amplitudes.imag**2)) - 1.0)
+        """|sum of |amplitude|^2 - 1|, should stay below 1e-9.
+
+        The implied half of a ``minus`` qubit counts as much as the stored one.
+        """
+        total = float(np.sum(self.amplitudes.real**2 + self.amplitudes.imag**2))
+        if self.minus is not None:
+            total *= 2.0
+        return abs(total - 1.0)
 
 
 @dataclass
@@ -138,18 +154,23 @@ def check_width(width: int, max_width: int | None = None):
         )
 
 
-def zero_state(width: int, max_width: int | None = None, stored=None) -> StateVector:
+def zero_state(width: int, max_width: int | None = None, stored=None,
+               minus: int | None = None) -> StateVector:
     """|0...0> on ``width`` qubits, storing the ``stored`` qubits (all by default).
 
-    The cap applies to ``width`` whatever is stored.
+    With ``minus``, that qubit (not stored) starts in |-> instead, as X
+    then H leave it: the stored amplitude of |0...0> is 1/sqrt(2). The
+    cap applies to ``width`` whatever is stored.
     """
     check_width(width, max_width)
     stored = tuple(range(width)) if stored is None else tuple(stored)
     if len(set(stored)) != len(stored) or not all(0 <= q < width for q in stored):
         raise ValueError(f"stored qubits {stored} must be distinct and below width {width}")
+    if minus is not None and (minus in stored or not 0 <= minus < width):
+        raise ValueError(f"minus qubit {minus} must be unstored and below width {width}")
     amplitudes = np.zeros(2 ** len(stored), dtype=np.complex128)
-    amplitudes[0] = 1.0
-    return StateVector(width, amplitudes, stored)
+    amplitudes[0] = 1.0 if minus is None else _INV_SQRT2
+    return StateVector(width, amplitudes, stored, minus)
 
 
 def basis_state(width: int, index: int, max_width: int | None = None) -> StateVector:
@@ -182,17 +203,21 @@ def _initial_plane(qubit: int, nbytes: int) -> np.ndarray:
     return (bit * 0xFF).astype(np.uint8)
 
 
-def _compile_run(run: tuple[GateOp, ...], place: dict[int, int]) -> np.ndarray:
-    """Gather index of a run of X/CX/CCX/MCX gates: new[j] = old[index[j]].
+def _compile_run(run: tuple[GateOp, ...], place: dict[int, int],
+                 minus: int | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Gather index and sign mask of a run of X/CX/CCX/MCX gates.
 
-    Indices have one bit per stored qubit: stored qubit q is bit
-    ``place[q]``. Every gate in the run is a self-inverse basis
-    permutation, so the source of basis index j is found by applying the
-    gates to j in reverse order. The gates act on packed bit planes, one
-    per touched qubit, 8 basis indices to a byte. A qubit missing from
-    ``place`` is not stored and is 0 in every index, so its plane starts
-    at zero; if it does not end at zero, some basis state would come out
-    of the run with that qubit set, and a ValueError names the qubit.
+    new[j] = old[index[j]], negated where mask[j]. Indices have one bit
+    per stored qubit: stored qubit q is bit ``place[q]``. Every gate in
+    the run is a self-inverse basis permutation, so the source of basis
+    index j is found by applying the gates to j in reverse order. The
+    gates act on packed bit planes, one per touched qubit, 8 basis
+    indices to a byte. A qubit missing from ``place`` is not stored and
+    is 0 in every index, so its plane starts at zero; if it does not end
+    at zero, some basis state would come out of the run with that qubit
+    set, and a ValueError names the qubit. The ``minus`` qubit's plane
+    also starts at zero; where it ends at one the source is in the
+    implied half. The mask is None when the run does not touch it.
     """
     width = len(place)
     size = 2**width
@@ -201,6 +226,8 @@ def _compile_run(run: tuple[GateOp, ...], place: dict[int, int]) -> np.ndarray:
     planes = {q: _initial_plane(place[q], nbytes) if q in place
               else np.zeros(nbytes, dtype=np.uint8) for q in touched}
     for op in reversed(run):
+        if minus in op.controls:
+            raise ValueError(f"qubit {minus} is held in |-> and cannot control a gate")
         flip = planes[op.target]
         if op.controls:
             fired = planes[op.controls[0]]
@@ -209,7 +236,7 @@ def _compile_run(run: tuple[GateOp, ...], place: dict[int, int]) -> np.ndarray:
             flip ^= fired
         else:
             np.invert(flip, out=flip)
-    for q in sorted(touched - place.keys()):
+    for q in sorted(touched - place.keys() - {minus}):
         if planes[q].any():
             raise ValueError(
                 f"a run of {len(run)} X/CX/CCX/MCX gates would leave qubit {q} "
@@ -224,7 +251,10 @@ def _compile_run(run: tuple[GateOp, ...], place: dict[int, int]) -> np.ndarray:
         if moved.any():
             bits = np.unpackbits(moved, count=size, bitorder="little")
             index ^= np.left_shift(bits, bit, dtype=dtype)
-    return index
+    mask = None
+    if minus in touched:
+        mask = np.unpackbits(planes[minus], count=size, bitorder="little").view(bool)
+    return index, mask
 
 
 def _butterfly(amplitudes: np.ndarray, kind: str, bit: int, temp: np.ndarray):
@@ -295,12 +325,15 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     X/CX/CCX/MCX gates is applied as one gather into a buffer of the
     state's size; runs with the same ops are compiled once per call,
     all before the first gate is applied. H and Z are applied gate by
-    gate, H in pieces of BUTTERFLY_CHUNK amplitudes. After an odd
+    gate, H in pieces of BUTTERFLY_CHUNK amplitudes. A run that flips
+    the state's ``minus`` qubit negates (as 0 - a), after the gather,
+    the amplitudes it brought over from the implied half. After an odd
     number of gathers the amplitudes are copied back from the buffer.
 
     Raises ValueError, leaving the state as it was, for a width
     mismatch, a gate past the width, an H or Z on a qubit the state
-    does not store, or a run that would leave such a qubit set.
+    does not store (the ``minus`` qubit included), a run that would
+    leave such a qubit set, or a ``minus`` qubit used as a control.
     """
     width = state.width
     if circuit.width != width:
@@ -315,10 +348,10 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
             raise ValueError(f"qubit {q} carries an H or Z gate, but the state does not store it")
     segments = [(permutes, tuple(group)) for permutes, group in
                 groupby(circuit.ops, key=lambda op: op.kind in _PERMUTATION_KINDS)]
-    compiled: dict[tuple[GateOp, ...], np.ndarray] = {}
+    compiled: dict[tuple[GateOp, ...], tuple[np.ndarray, np.ndarray | None]] = {}
     for permutes, ops in segments:
         if permutes and ops not in compiled:
-            compiled[ops] = _compile_run(ops, place)
+            compiled[ops] = _compile_run(ops, place, state.minus)
 
     amplitudes = state.amplitudes
     spare = None
@@ -329,12 +362,14 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
             for op in ops:
                 _butterfly(amplitudes, op.kind, place[op.target], temp)
             continue
-        index = compiled[ops]
+        index, mask = compiled[ops]
         if spare is None:
             spare = np.empty_like(amplitudes)
         for lo in range(0, index.size, _GATHER_BLOCK):
             block = slice(lo, lo + _GATHER_BLOCK)
             np.take(amplitudes, index[block], out=spare[block], mode="wrap")
+            if mask is not None:
+                np.subtract(0.0, spare[block], out=spare[block], where=mask[block])
         amplitudes, spare = spare, amplitudes
     if amplitudes is not state.amplitudes:
         np.copyto(state.amplitudes, amplitudes)
@@ -358,7 +393,9 @@ def marginal_probabilities(state: StateVector, qubits) -> np.ndarray:
 
     Bit k of the returned array's index is the value of ``qubits[k]``.
     It is read straight from the stored amplitudes; a qubit the state
-    does not store is 0 in every outcome.
+    does not store is 0 in every outcome. The ``minus`` qubit's two
+    outcomes each get the stored probability; when it is not listed,
+    the stored marginal is doubled, which is exact.
     """
     qubits = _check_subset(state, qubits)
     bit = {q: k for k, q in enumerate(state.stored)}
@@ -373,7 +410,10 @@ def marginal_probabilities(state: StateVector, qubits) -> np.ndarray:
     remaining = sorted(keep)
     desired = [bits - 1 - bit[q] for q in reversed(kept)]
     tensor = tensor.transpose([remaining.index(ax) for ax in desired])
+    # probs is this call's own array, so the marginal may be scaled in place
     marginal = np.ascontiguousarray(tensor).reshape(-1)
+    if state.minus is not None and state.minus not in qubits:
+        marginal *= 2.0
     if len(kept) == len(qubits):
         return marginal
     # outcome k of the stored marginal, with the unstored qubits' bits 0
@@ -382,6 +422,8 @@ def marginal_probabilities(state: StateVector, qubits) -> np.ndarray:
         outcome |= ((np.arange(marginal.size) >> j) & 1) << qubits.index(q)
     full = np.zeros(2 ** len(qubits))
     full[outcome] = marginal
+    if state.minus in qubits:
+        full[outcome | 1 << qubits.index(state.minus)] = marginal
     return full
 
 
@@ -430,6 +472,9 @@ def sample(state: StateVector, qubits, shots: int, seed: int) -> Histogram:
 
 def fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2."""
-    if a.width != b.width or a.stored != b.stored:
+    if a.width != b.width or a.stored != b.stored or a.minus != b.minus:
         raise ValueError("state widths or stored qubits differ")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+    overlap = np.vdot(a.amplitudes, b.amplitudes)
+    if a.minus is not None:
+        overlap *= 2.0
+    return float(abs(overlap) ** 2)

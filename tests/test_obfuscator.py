@@ -201,6 +201,16 @@ def test_gate_level_marginal_matches_input_register_model(target, bits):
     assert abs(solution_probability(case, state) - case.theoretical_success) < 1e-9
 
 
+# every minimal-width target with n = 5: N = 46..93, 15 stored qubits, up to 142 rounds
+@pytest.mark.parametrize("target", range(46, 94))
+def test_exact_success_matches_closed_form_at_five_bits(target):
+    # Boyer, Brassard, Hoyer and Tapp: sin^2((2R+1) theta) after R rounds
+    case = plan(target)
+    assert case.bits == 5
+    state, _ = simulate(case)
+    assert abs(solution_probability(case, state) - case.theoretical_success) < 1e-9
+
+
 def test_exact_success_matches_closed_form_smallest_case():
     case = plan(3, 1)
     state, _ = simulate(case)
@@ -266,6 +276,19 @@ def test_histogram_invariants_enforced():
         DecodedHistogram(target=3, bits=1, iterations=2, shots=10,
                          valid_fraction=1.5, exact_success=0.5,
                          entries={(1, 1, 1): 10})
+
+
+def test_sorted_entries_breaks_count_ties_by_triplet():
+    # inserted in neither count nor triplet order
+    scrambled = {(2, 0, 1): 5, (0, 3, 0): 9, (1, 1, 1): 5, (0, 0, 3): 9, (3, 0, 0): 1,
+                 (0, 2, 1): 5, (1, 0, 2): 9}
+    histogram = DecodedHistogram(target=3, bits=2, iterations=1, shots=43,
+                                 valid_fraction=1.0, exact_success=1.0, entries=scrambled)
+    assert sorted_entries(histogram) == [
+        ((0, 0, 3), 9), ((0, 3, 0), 9), ((1, 0, 2), 9),
+        ((0, 2, 1), 5), ((1, 1, 1), 5), ((2, 0, 1), 5),
+        ((3, 0, 0), 1),
+    ]
 
 
 def test_json_wire_format():

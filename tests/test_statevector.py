@@ -143,13 +143,19 @@ def same_bits(a, b):
 
 
 def scattered(state):
-    """Dense amplitudes of a compact state: +0.0 wherever an unstored qubit is 1."""
+    """Dense amplitudes of a compact state: +0.0 wherever an unstored qubit is 1.
+
+    The implied half of a ``minus`` qubit is rebuilt as 0 - the stored
+    half, the way ``run_circuit`` negates.
+    """
     outcome = np.arange(state.amplitudes.size)
     index = np.zeros_like(outcome)
     for k, q in enumerate(state.stored):
         index |= ((outcome >> k) & 1) << q
     dense = np.zeros(2**state.width, dtype=np.complex128)
     dense[index] = state.amplitudes
+    if state.minus is not None:
+        dense[index | 1 << state.minus] = 0.0 - state.amplitudes
     return dense
 
 
@@ -228,9 +234,12 @@ def test_pipeline_circuit_equals_gate_by_gate_reference(target):
     expected = reference_run(state.amplitudes, circuit)
     run_circuit(state, circuit)
     assert same_bits(state.amplitudes, expected)
-    # the pipeline stores only the inputs and the phase ancilla (3n+1 qubits)
+    # the pipeline stores only the 3n inputs; the phase ancilla's |1> half is
+    # implied, and both halves match the dense run bit for bit
     compact, _ = simulate(plan(target))
-    assert len(compact.stored) == circuit.width - 4
+    assert compact.stored == tuple(range(circuit.width - 5))
+    assert compact.minus == circuit.width - 1
+    assert same_bits(compact.amplitudes, expected[:compact.amplitudes.size])
     assert same_bits(scattered(compact), expected)
 
 
@@ -251,6 +260,52 @@ def test_compact_state_refuses_to_leave_an_unstored_qubit_set():
     run_circuit(state, good)
     run_circuit(dense, good)
     assert same_bits(scattered(state), dense.amplitudes)
+
+
+def test_minus_qubit_refuses_h_z_and_control():
+    # qubit 2 is held in |->. The first H goes straight into the stored
+    # amplitudes, so the refusal must come before it.
+    state = zero_state(3, stored=(1, 0), minus=2)
+    apply_gate(state, h(0))
+    before = state.amplitudes.copy()
+    for bad in ([h(2)], [z(2)], [cx(2, 0)], [x(1), ccx(0, 2, 1), x(1)]):
+        with pytest.raises(ValueError, match=r"\bqubit 2\b"):
+            run_circuit(state, Circuit(3, [h(1), *bad, h(0)]))
+        assert same_bits(state.amplitudes, before)
+
+
+def random_kickback_circuit(width, seed):
+    """H/Z gates and permutation runs; the top qubit is only ever an X target."""
+    rng = np.random.default_rng(seed)
+    top = width - 1
+    circuit = Circuit(width)
+    for _ in range(12):
+        run = random_permutation_run(rng, top, int(rng.integers(1, 5)))
+        arity = int(rng.integers(0, min(top, 4) + 1))
+        controls = [int(q) for q in rng.choice(top, size=arity, replace=False)]
+        run.insert(int(rng.integers(len(run) + 1)), mcx(controls, top) if arity else x(top))
+        circuit.extend(run)
+        for _ in range(int(rng.integers(0, 3))):
+            gate = h if rng.random() < 0.7 else z
+            circuit.append(gate(int(rng.integers(top))))
+    return circuit
+
+
+# 18 qubits: 17 stored, two gather blocks
+@pytest.mark.parametrize("width", [*range(2, 10), 18])
+def test_minus_qubit_equals_dense_gate_by_gate_reference(width):
+    # the dense reference holds the |-> qubit's |1> half explicitly; the
+    # compact state implies it, negating what runs bring over from it
+    for seed in range(4):
+        rng = np.random.default_rng(10 * width + seed)
+        circuit = random_kickback_circuit(width, seed=10 * width + seed)
+        state = zero_state(width, stored=tuple(rng.permutation(width - 1).tolist()),
+                           minus=width - 1)
+        state.amplitudes[:] = random_state(width - 1, seed) * np.sqrt(0.5)
+        expected = reference_run(scattered(state), circuit)
+        run_circuit(state, circuit)
+        assert same_bits(scattered(state), expected)
+        assert state.norm_error() < 1e-12
 
 
 # 17 qubits: a state of two gather blocks
@@ -292,13 +347,17 @@ def traced_peak(state, circuit):
         tracemalloc.stop()
 
 
+def permutation_runs(circuit):
+    return {tuple(group) for permutes, group in
+            groupby(circuit.ops, key=lambda op: op.kind not in ("h", "z")) if permutes}
+
+
 def test_run_circuit_memory_stays_within_budget():
     # beside the state: a gather buffer of the same size, one int32 index
     # (a quarter state) per distinct permutation run, one butterfly chunk,
     # and under half a state of temporaries while a run compiles
     circuit = build_full_circuit(plan(31))
-    runs = {tuple(group) for permutes, group in
-            groupby(circuit.ops, key=lambda op: op.kind not in ("h", "z")) if permutes}
+    runs = permutation_runs(circuit)
     assert len(runs) == 3
     state = zero_state(circuit.width)
     size = state.amplitudes.nbytes
@@ -323,6 +382,21 @@ def test_run_circuit_memory_stays_within_budget():
     buffered = 3 * min(piece, np.getbufsize() * compact.amplitudes.itemsize)
     assert traced_peak(compact, circuit) <= (size + len(runs) * size // 4 + piece
                                             + buffered + 2**16)
+    # the pipeline's state: 12 stored qubits and the phase ancilla in |->,
+    # run without the prologue's X and H on it, which leaves two runs. Both
+    # flip the ancilla, so each adds a bool sign mask, a sixteenth of the state.
+    prologue, block, copies = circuit.parts()
+    body = Circuit(circuit.width, prologue[:-2] + block * copies, circuit.labels,
+                   circuit.repeat)
+    runs = permutation_runs(body)
+    assert len(runs) == 2
+    kicked = zero_state(circuit.width, stored=stored_qubits(body), minus=circuit.width - 1)
+    assert len(kicked.stored) == 12
+    size = kicked.amplitudes.nbytes
+    piece = min(BUTTERFLY_CHUNK * kicked.amplitudes.itemsize, size // 2)
+    buffered = 3 * min(piece, np.getbufsize() * kicked.amplitudes.itemsize)
+    assert traced_peak(kicked, body) <= (size + len(runs) * (size // 4 + size // 16)
+                                         + piece + buffered + 2**16)
 
 
 @pytest.mark.parametrize("width", range(1, 7))
@@ -393,6 +467,15 @@ def test_zero_and_basis_state_shapes():
     for bad in ((0, 0), (3,), (-1,)):
         with pytest.raises(ValueError):
             zero_state(3, stored=bad)
+    # |00>|-> exactly as X then H leave the dense |000>
+    kicked = zero_state(3, stored=(2, 0), minus=1)
+    dense = zero_state(3)
+    run_circuit(dense, Circuit(3, [x(1), h(1)]))
+    assert same_bits(scattered(kicked), dense.amplitudes)
+    assert kicked.norm_error() < 1e-15
+    for bad in (0, 3, -1):
+        with pytest.raises(ValueError):
+            zero_state(3, stored=(2, 0), minus=bad)
 
 
 def test_width_cap_enforced(monkeypatch):
@@ -422,7 +505,10 @@ def test_marginal_probabilities_against_bit_loop():
     # qubits 1 and 3 not stored: outcomes with either of them set have probability 0
     compact = zero_state(width, stored=(2, 0))
     compact.amplitudes[:] = random_state(2, seed=78)
-    for state in (dense, compact):
+    # qubit 3 in |->: both of its outcomes carry the stored probability
+    kicked = zero_state(width, stored=(2, 0), minus=3)
+    kicked.amplitudes[:] = random_state(2, seed=79) * np.sqrt(0.5)
+    for state in (dense, compact, kicked):
         probs = np.abs(scattered(state)) ** 2
         for qubits in [(0,), (3,), (1, 2), (2, 0, 3), (3, 2, 1, 0), (0, 1, 2, 3)]:
             expected = np.zeros(2 ** len(qubits))
@@ -519,3 +605,8 @@ def test_fidelity_endpoints():
         fidelity(zero_state(1), zero_state(2))
     with pytest.raises(ValueError):
         fidelity(zero_state(2), zero_state(2, stored=(1, 0)))
+    # the implied |1> half of a |-> qubit counts as much as the stored half
+    kicked = zero_state(2, stored=(0,), minus=1)
+    assert fidelity(kicked, kicked) == pytest.approx(1.0)
+    with pytest.raises(ValueError):
+        fidelity(kicked, zero_state(2, stored=(0,)))
