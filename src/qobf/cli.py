@@ -17,7 +17,6 @@ import sys
 from . import arithmetic, circuit, grover, obfuscator, statevector
 from .errors import ConstraintError, ResourceLimitError
 
-HEAVY_QUBITS = 20
 BENCH_HEADER = "N,n,iterations,qubits,depth,gates,run_time_s,valid_solutions"
 DEFAULT_TARGETS = "7,15,31,63"
 TEXT_TOP_DEFAULT = 12
@@ -90,14 +89,6 @@ def _parse_targets(raw: str) -> list[int]:
 def cmd_bench(args) -> int:
     targets = _parse_targets(args.targets)
     plans = [obfuscator.plan(target) for target in targets]
-    if not args.plan_only and not args.heavy:
-        oversized = [p for p in plans if p.total_qubits > HEAVY_QUBITS]
-        if oversized:
-            raise ResourceLimitError(
-                f"target {oversized[0].target} needs {oversized[0].total_qubits} "
-                f"qubits (> {HEAVY_QUBITS}); pass --heavy to simulate it "
-                f"or --plan-only to skip simulation"
-            )
     if not args.plan_only:
         for obf_plan in plans:
             statevector.check_width(obf_plan.total_qubits)
@@ -226,9 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="benchmark table as CSV")
     p_bench.add_argument("--targets", default=DEFAULT_TARGETS,
                          help="comma-separated target values")
-    p_bench.add_argument("--heavy", action="store_true",
-                         help="allow simulations above "
-                         f"{HEAVY_QUBITS} qubits")
     p_bench.add_argument("--plan-only", action="store_true",
                          help="skip simulation; run_time_s left empty")
     p_bench.set_defaults(func=cmd_bench)

@@ -35,7 +35,6 @@ from .statevector import (
     marginal_probabilities,
     run_circuit,
     sample_counts,
-    stored_qubits,
     zero_state,
 )
 
@@ -206,10 +205,10 @@ def simulate(obf_plan: ObfuscationPlan) -> tuple[StateVector, float]:
 
     The width is checked against the qubit cap first, so a width over
     it fails before the circuit is built. The state stores only the
-    3n inputs, in H-last order (``stored_qubits``). The phase ancilla
-    starts in |-> (``zero_state``'s ``minus``) in place of the
-    prologue's X and H on it, and is then only ever flipped, so its |1>
-    half stays the negation of the stored |0> half. The carries and
+    3n inputs, which the register layout puts on the low qubits. The
+    phase ancilla starts in |-> (``zero_state``'s ``minus``) in place of
+    the prologue's X and H on it, and is then only ever flipped, so its
+    |1> half stays the negation of the stored |0> half. The carries and
     adder ancillas stay |0>, because every permutation run returns them
     there, which ``run_circuit`` checks before it starts. The timing
     covers simulation, including compiling the permutation runs, but
@@ -222,7 +221,7 @@ def simulate(obf_plan: ObfuscationPlan) -> tuple[StateVector, float]:
     body = Circuit(circuit.width,
                    [op for op in prologue if op.target != ancilla] + block * copies,
                    circuit.labels, circuit.repeat)
-    state = zero_state(body.width, stored=stored_qubits(body), minus=ancilla)
+    state = zero_state(body.width, stored=3 * obf_plan.bits, minus=ancilla)
     start = time.perf_counter()
     run_circuit(state, body)
     elapsed = time.perf_counter() - start
@@ -261,15 +260,6 @@ def decode(bitstring: str, bits: int) -> tuple[int, int, int]:
     yv = int(bitstring[-2 * bits:-bits], 2)
     zv = int(bitstring[:bits], 2)
     return xv, yv, zv
-
-
-def encode(xv: int, yv: int, zv: int, bits: int) -> str:
-    """Inverse of decode: pack a triplet into a 3n-bit string."""
-    top = 2**bits
-    for name, value in (("x", xv), ("y", yv), ("z", zv)):
-        if not 0 <= value < top:
-            raise ConstraintError(f"{name} = {value} does not fit {bits} bits")
-    return format(zv, f"0{bits}b") + format(yv, f"0{bits}b") + format(xv, f"0{bits}b")
 
 
 def run(obf_plan: ObfuscationPlan, shots: int = DEFAULT_SHOTS,

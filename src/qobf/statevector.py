@@ -1,28 +1,23 @@
 """Exact statevector simulation of the {H, X, Z, CX, CCX, MCX} gate set.
 
 Amplitudes are complex128 and the basis convention is little-endian
-everywhere: in a dense state, bit k of a basis index (weight 2^k) is
-qubit k.
+everywhere: bit k of an amplitude index (weight 2^k) is qubit k.
 
-A state need not hold every qubit. ``StateVector.stored`` lists the
-qubits it holds: bit k of an amplitude index is qubit ``stored[k]``,
-and every other qubit is |0>, except an optional ``minus`` qubit held
-in |->, whose |1> half is implied as 0 - the stored |0> half. A dense
-state stores all of them in order. The pipeline's carries and adder
+A state need not hold every qubit. It stores the low
+``StateVector.stored`` qubits; every qubit from there up is |0>,
+except an optional ``minus`` qubit held in |->, whose |1> half is
+implied as 0 - the stored |0> half. A dense state stores all of them.
+The pipeline's 3n inputs are its low qubits. Its carries and adder
 ancillas carry no H or Z, and every permutation run returns them to
 |0>; its phase ancilla is prepared in |-> and from then on only
 flipped (phase kickback; Cleve, Ekert, Macchiavello and Mosca,
 quant-ph/9708016). So ``obfuscator.simulate`` stores only the 3n
-inputs (``stored_qubits``), 1/32 of the dense state, with the phase
-ancilla as ``minus``. ``run_circuit`` refuses, with a ValueError
-naming the qubit and before any amplitude is touched, an H or Z on a
-qubit that is not stored, a ``minus`` qubit used as a control, and a
-permutation run that would leave another unstored qubit set for some
-basis state: that state would need amplitudes the compact state does
-not hold.
-
-Amplitudes always stay in stored order; ``stored_qubits`` gives the
-H-last order that ``obfuscator.simulate`` allocates.
+inputs, 1/32 of the dense state, with the phase ancilla as ``minus``.
+``run_circuit`` refuses, with a ValueError naming the qubit and before
+any amplitude is touched, an H or Z on a qubit that is not stored, a
+``minus`` qubit used as a control, and a permutation run that would
+leave another unstored qubit set for some basis state: that state
+would need amplitudes the compact state does not hold.
 
 X, CX, CCX and MCX permute basis states, so ``run_circuit`` splits the
 op list into maximal runs of them and applies each run as one gather
@@ -37,9 +32,9 @@ bit as gate-by-gate application on the dense state would leave it:
 the gathers only move values, the H butterfly does each amplitude's
 arithmetic in one fixed order, and a run that flips the ``minus``
 qubit negates what it brings over from the implied half as 0 - a,
-which leaves a zero +0 as the dense run's (0 - v)/sqrt(2) does. Gate fusion, qubit
-reordering and leaving out qubits that carry no information follow
-Haener & Steiger, arXiv:1704.01127.
+which leaves a zero +0 as the dense run's (0 - v)/sqrt(2) does. Gate
+fusion and leaving out qubits that carry no information follow Haener
+& Steiger, arXiv:1704.01127.
 
 Measurement is terminal sampling only. Sampling draws shots by inverse
 CDF over the marginal distribution of the requested qubits, with
@@ -53,14 +48,13 @@ platform.
 
 Widths above ``max_qubits()`` (default 26, about 1 GiB of dense
 amplitudes) are refused; the cap is compared with the full width, not
-the stored one. Set QOBF_MAX_QUBITS or pass an explicit max_width to go
-bigger.
+the stored one. Set QOBF_MAX_QUBITS to go bigger.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
@@ -93,23 +87,23 @@ def max_qubits() -> int:
 
 @dataclass
 class StateVector:
-    """Pure state over ``width`` qubits, holding amplitudes for ``stored`` only.
+    """Pure state over ``width`` qubits, holding amplitudes for the low ``stored``.
 
-    Bit k of an amplitude index is qubit ``stored[k]``; every qubit not
-    in ``stored`` is |0>, except ``minus``, which is held in |->: the
+    Bit k of an amplitude index is qubit k; every qubit at or above
+    ``stored`` is |0>, except ``minus``, which is held in |->: the
     amplitude with it set is 0 - the stored amplitude with it clear.
-    ``stored`` defaults to every qubit in order, a dense state of
-    2^width amplitudes.
+    ``stored`` defaults to ``width``, a dense state of 2^width
+    amplitudes.
     """
 
     width: int
     amplitudes: np.ndarray
-    stored: tuple[int, ...] | None = None
+    stored: int | None = None
     minus: int | None = None
 
     def __post_init__(self):
         if self.stored is None:
-            self.stored = tuple(range(self.width))
+            self.stored = self.width
 
     def norm_error(self) -> float:
         """|sum of |amplitude|^2 - 1|, should stay below 1e-9.
@@ -138,44 +132,40 @@ class Histogram:
                 raise ValueError(f"bad histogram key {key!r} for width {self.width}")
 
 
-def check_width(width: int, max_width: int | None = None):
-    """Refuse a state width below 1 or above the cap (``max_qubits()`` by default)."""
-    cap = max_qubits() if max_width is None else max_width
+def check_width(width: int):
+    """Refuse a circuit width below 1 or above the cap, ``max_qubits()``."""
+    cap = max_qubits()
     if width < 1:
         raise ConstraintError(f"width must be >= 1, got {width}")
     if width > cap:
-        size = 2**width * 16
-        pretty = (f"{size / 2**30:.1f} GiB" if size >= 2**30
-                  else f"{size / 2**20:.1f} MiB")
         raise ResourceLimitError(
-            f"width {width} needs an amplitude array of 2^{width} = {2**width} "
-            f"complex doubles ({pretty}); cap is {cap} "
-            f"qubits (QOBF_MAX_QUBITS overrides)"
+            f"width {width} is over the circuit-width cap "
+            f"(cap is {cap} qubits; QOBF_MAX_QUBITS overrides)"
         )
 
 
-def zero_state(width: int, max_width: int | None = None, stored=None,
+def zero_state(width: int, stored: int | None = None,
                minus: int | None = None) -> StateVector:
-    """|0...0> on ``width`` qubits, storing the ``stored`` qubits (all by default).
+    """|0...0> on ``width`` qubits, storing the low ``stored`` (all by default).
 
-    With ``minus``, that qubit (not stored) starts in |-> instead, as X
-    then H leave it: the stored amplitude of |0...0> is 1/sqrt(2). The
-    cap applies to ``width`` whatever is stored.
+    With ``minus``, that qubit (at or above ``stored``) starts in |->
+    instead, as X then H leave it: the stored amplitude of |0...0> is
+    1/sqrt(2). The cap applies to ``width`` whatever is stored.
     """
-    check_width(width, max_width)
-    stored = tuple(range(width)) if stored is None else tuple(stored)
-    if len(set(stored)) != len(stored) or not all(0 <= q < width for q in stored):
-        raise ValueError(f"stored qubits {stored} must be distinct and below width {width}")
-    if minus is not None and (minus in stored or not 0 <= minus < width):
+    check_width(width)
+    stored = width if stored is None else stored
+    if not 0 <= stored <= width:
+        raise ValueError(f"stored qubit count {stored} must be in 0..{width}")
+    if minus is not None and not stored <= minus < width:
         raise ValueError(f"minus qubit {minus} must be unstored and below width {width}")
-    amplitudes = np.zeros(2 ** len(stored), dtype=np.complex128)
+    amplitudes = np.zeros(2**stored, dtype=np.complex128)
     amplitudes[0] = 1.0 if minus is None else _INV_SQRT2
     return StateVector(width, amplitudes, stored, minus)
 
 
-def basis_state(width: int, index: int, max_width: int | None = None) -> StateVector:
+def basis_state(width: int, index: int) -> StateVector:
     """Computational-basis state |index>."""
-    state = zero_state(width, max_width)
+    state = zero_state(width)
     if not 0 <= index < 2**width:
         raise ConstraintError(f"basis index {index} out of range for width {width}")
     state.amplitudes[0] = 0.0
@@ -203,27 +193,33 @@ def _initial_plane(qubit: int, nbytes: int) -> np.ndarray:
     return (bit * 0xFF).astype(np.uint8)
 
 
-def _compile_run(run: tuple[GateOp, ...], place: dict[int, int],
-                 minus: int | None = None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Gather index and sign mask of a run of X/CX/CCX/MCX gates.
+def _compile_run(run: tuple[GateOp, ...],
+                 state: StateVector) -> tuple[np.ndarray, np.ndarray | None]:
+    """Gather index and sign mask of a run of X/CX/CCX/MCX gates on ``state``.
 
     new[j] = old[index[j]], negated where mask[j]. Indices have one bit
-    per stored qubit: stored qubit q is bit ``place[q]``. Every gate in
-    the run is a self-inverse basis permutation, so the source of basis
-    index j is found by applying the gates to j in reverse order. The
-    gates act on packed bit planes, one per touched qubit, 8 basis
-    indices to a byte. A qubit missing from ``place`` is not stored and
-    is 0 in every index, so its plane starts at zero; if it does not end
-    at zero, some basis state would come out of the run with that qubit
+    per stored qubit: qubit q is bit q. Every gate in the run is a
+    self-inverse basis permutation, so the source of basis index j is
+    found by applying the gates to j in reverse order. The gates act on
+    packed bit planes, one per touched qubit, 8 basis indices to a byte.
+    A qubit at or above ``state.stored`` is not stored and is 0 in
+    every index, so its plane starts at zero; if it does not end at
+    zero, some basis state would come out of the run with that qubit
     set, and a ValueError names the qubit. The ``minus`` qubit's plane
     also starts at zero; where it ends at one the source is in the
-    implied half. The mask is None when the run does not touch it.
+    implied half. The mask is None when the run does not touch it. A
+    gate past the state's width raises a ValueError too.
     """
-    width = len(place)
-    size = 2**width
+    stored, minus = state.stored, state.minus
+    size = 2**stored
     nbytes = max(size // 8, 1)
     touched = {q for op in run for q in op.qubits()}
-    planes = {q: _initial_plane(place[q], nbytes) if q in place
+    if max(touched) >= state.width:
+        raise ValueError(
+            f"a run of {len(run)} X/CX/CCX/MCX gates touches qubit {max(touched)}, "
+            f"state width {state.width}"
+        )
+    planes = {q: _initial_plane(q, nbytes) if q < stored
               else np.zeros(nbytes, dtype=np.uint8) for q in touched}
     for op in reversed(run):
         if minus in op.controls:
@@ -236,21 +232,22 @@ def _compile_run(run: tuple[GateOp, ...], place: dict[int, int],
             flip ^= fired
         else:
             np.invert(flip, out=flip)
-    for q in sorted(touched - place.keys() - {minus}):
-        if planes[q].any():
+    for q in sorted(touched):
+        if q >= stored and q != minus and planes[q].any():
             raise ValueError(
                 f"a run of {len(run)} X/CX/CCX/MCX gates would leave qubit {q} "
                 f"set, but the state does not store it"
             )
     # int32 holds half the memory of int64 and reaches every index below 2^31
-    dtype = np.int32 if width < 32 else np.int64
+    dtype = np.int32 if stored < 32 else np.int64
     index = np.arange(size, dtype=dtype)
-    for q in touched & place.keys():
-        bit = place[q]
-        moved = planes[q] ^ _initial_plane(bit, nbytes)
+    for q in touched:
+        if q >= stored:
+            continue
+        moved = planes[q] ^ _initial_plane(q, nbytes)
         if moved.any():
             bits = np.unpackbits(moved, count=size, bitorder="little")
-            index ^= np.left_shift(bits, bit, dtype=dtype)
+            index ^= np.left_shift(bits, q, dtype=dtype)
     mask = None
     if minus in touched:
         mask = np.unpackbits(planes[minus], count=size, bitorder="little").view(bool)
@@ -287,48 +284,17 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     return run_circuit(state, Circuit(state.width, [gate]))
 
 
-def _hz_load(circuit: Circuit) -> list[int]:
-    """H/Z gates on each qubit; refuses a gate past the circuit width."""
-    width = circuit.width
-    load = [0] * width
-    for op in circuit.ops:
-        if max(op.qubits()) >= width:
-            raise ValueError(
-                f"gate {op.kind} touches qubit {max(op.qubits())}, "
-                f"state width {width}"
-            )
-        if op.kind not in _PERMUTATION_KINDS:
-            load[op.target] += 1
-    return load
-
-
-def stored_qubits(circuit: Circuit) -> tuple[int, ...]:
-    """The qubits that carry an H or Z gate, fewest H/Z first (ties by qubit).
-
-    This is the H-last order: a butterfly on bit k works on contiguous
-    halves of 2^k amplitudes, so a state that stores these qubits in
-    this order gives the busiest ones (for the pipeline, the 3n inputs)
-    the longest halves. Such a state started in |0...0> can run the
-    circuit provided every permutation run returns the other qubits to
-    |0>.
-    """
-    load = _hz_load(circuit)
-    return tuple(sorted((q for q in range(circuit.width) if load[q]),
-                        key=lambda q: (load[q], q)))
-
-
 def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Apply the circuit's ops in order, in place, and return the state.
 
-    The amplitudes stay in stored order throughout: qubit
-    ``state.stored[k]`` is index bit k. Each maximal run of
-    X/CX/CCX/MCX gates is applied as one gather into a buffer of the
-    state's size; runs with the same ops are compiled once per call,
-    all before the first gate is applied. H and Z are applied gate by
-    gate, H in pieces of BUTTERFLY_CHUNK amplitudes. A run that flips
-    the state's ``minus`` qubit negates (as 0 - a), after the gather,
-    the amplitudes it brought over from the implied half. After an odd
-    number of gathers the amplitudes are copied back from the buffer.
+    Qubit q is index bit q throughout. Each maximal run of X/CX/CCX/MCX
+    gates is applied as one gather into a buffer of the state's size;
+    runs with the same ops are compiled once per call, all before the
+    first gate is applied. H and Z are applied gate by gate, H in
+    pieces of BUTTERFLY_CHUNK amplitudes. A run that flips the state's
+    ``minus`` qubit negates (as 0 - a), after the gather, the amplitudes
+    it brought over from the implied half. After an odd number of
+    gathers the amplitudes are copied back from the buffer.
 
     Raises ValueError, leaving the state as it was, for a width
     mismatch, a gate past the width, an H or Z on a qubit the state
@@ -340,18 +306,23 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
         raise ValueError(
             f"circuit width {circuit.width} != state width {width}"
         )
-    load = _hz_load(circuit)
-    # bit k of an amplitude index is qubit stored[k]; qubit q is bit place[q]
-    place = {q: k for k, q in enumerate(state.stored)}
-    for q in range(width):
-        if load[q] and q not in place:
-            raise ValueError(f"qubit {q} carries an H or Z gate, but the state does not store it")
-    segments = [(permutes, tuple(group)) for permutes, group in
-                groupby(circuit.ops, key=lambda op: op.kind in _PERMUTATION_KINDS)]
+    # one scan of the ops: split them into runs, check every gate, compile
+    segments = []
     compiled: dict[tuple[GateOp, ...], tuple[np.ndarray, np.ndarray | None]] = {}
-    for permutes, ops in segments:
-        if permutes and ops not in compiled:
-            compiled[ops] = _compile_run(ops, place, state.minus)
+    for permutes, group in groupby(circuit.ops, key=lambda op: op.kind in _PERMUTATION_KINDS):
+        ops = tuple(group)
+        segments.append((permutes, ops))
+        if permutes:
+            if ops not in compiled:
+                compiled[ops] = _compile_run(ops, state)
+            continue
+        for op in ops:
+            if op.target >= width:
+                raise ValueError(f"gate {op.kind} touches qubit {op.target}, state width {width}")
+            if op.target >= state.stored:
+                raise ValueError(
+                    f"qubit {op.target} carries an H or Z gate, but the state does not store it"
+                )
 
     amplitudes = state.amplitudes
     spare = None
@@ -360,7 +331,7 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     for permutes, ops in segments:
         if not permutes:
             for op in ops:
-                _butterfly(amplitudes, op.kind, place[op.target], temp)
+                _butterfly(amplitudes, op.kind, op.target, temp)
             continue
         index, mask = compiled[ops]
         if spare is None:
@@ -398,17 +369,16 @@ def marginal_probabilities(state: StateVector, qubits) -> np.ndarray:
     the stored marginal is doubled, which is exact.
     """
     qubits = _check_subset(state, qubits)
-    bit = {q: k for k, q in enumerate(state.stored)}
-    kept = [q for q in qubits if q in bit]
-    bits = len(state.stored)
+    bits = state.stored
+    kept = [q for q in qubits if q < bits]
     probs = state.amplitudes.real**2 + state.amplitudes.imag**2
     tensor = probs.reshape((2,) * bits)
-    keep = {bits - 1 - bit[q] for q in kept}
+    keep = {bits - 1 - q for q in kept}
     drop = tuple(ax for ax in range(bits) if ax not in keep)
     if drop:
         tensor = tensor.sum(axis=drop)
     remaining = sorted(keep)
-    desired = [bits - 1 - bit[q] for q in reversed(kept)]
+    desired = [bits - 1 - q for q in reversed(kept)]
     tensor = tensor.transpose([remaining.index(ax) for ax in desired])
     # probs is this call's own array, so the marginal may be scaled in place
     marginal = np.ascontiguousarray(tensor).reshape(-1)

@@ -195,7 +195,7 @@ def test_criterion_8_depth_and_gates_grow_monotonically(capsys):
 )
 def test_criterion_8_heavy_targets_complete(capsys):
     with verdict(capsys, "criterion 8 (heavy): 23 and 26 qubit simulations complete"):
-        code = cli.main(["bench", "--targets", "127,255", "--heavy"])
+        code = cli.main(["bench", "--targets", "127,255"])
         out = capsys.readouterr().out
         assert code == 0
         rows = [line.split(",") for line in out.splitlines()[1:]]

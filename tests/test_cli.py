@@ -148,13 +148,6 @@ def test_bench_plan_only_stdout_is_byte_stable(capsys):
     assert first == second
 
 
-def test_bench_heavy_target_needs_flag(capsys):
-    code, out, err = invoke(capsys, "bench", "--targets", "127")
-    assert code == 3
-    assert out == ""
-    assert "--heavy" in err
-
-
 @pytest.mark.parametrize("argv, budget", [
     (("inspect", "--n-value", "3", "--bits", "30"), f"{MAX_CIRCUIT_OPS} ops"),
     (("export", "--n-value", "3", "--bits", "30"), f"{MAX_CIRCUIT_OPS} ops"),
@@ -164,6 +157,8 @@ def test_bench_heavy_target_needs_flag(capsys):
      f"--bits {cli.VERIFY_MAX_BITS}"),
     (("obfuscate", "--n-value", "19", "--shots", str(MAX_SHOTS + 1)),
      f"budget of {MAX_SHOTS} shots"),
+    # the cap is on the circuit width, 29 here, though only 24 qubits would be stored
+    (("obfuscate", "--n-value", "382"), "width 29 is over the circuit-width cap"),
 ])
 def test_oversized_requests_exit_3_naming_the_budget(capsys, monkeypatch, argv, budget):
     # each of these used to build or loop without bound; now it fails at once
@@ -173,6 +168,7 @@ def test_oversized_requests_exit_3_naming_the_budget(capsys, monkeypatch, argv, 
     assert out == ""
     assert err.startswith("error:")
     assert budget in err
+    assert "GiB" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -195,10 +191,15 @@ def test_registers_too_wide_to_plan_exit_2_naming_the_limit(capsys, argv):
 
 
 def test_bench_heavy_checks_the_qubit_cap_before_any_simulation(capsys, monkeypatch):
-    # N=127 (23 qubits) would simulate for about 1 s before N=765 (29) is refused
+    # the cap refuses N=765 (29 qubits) before N=127 (23) is simulated
     monkeypatch.delenv("QOBF_MAX_QUBITS", raising=False)
+
+    def no_simulation(obf_plan):
+        raise AssertionError(f"N={obf_plan.target} simulated before the cap check")
+
+    monkeypatch.setattr(cli.obfuscator, "simulate", no_simulation)
     start = time.perf_counter()
-    code, out, err = invoke(capsys, "bench", "--heavy", "--targets", "127,765")
+    code, out, err = invoke(capsys, "bench", "--targets", "127,765")
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert out == ""

@@ -15,8 +15,8 @@ from qobf.obfuscator import (
     DecodedHistogram,
     ObfuscationPlan,
     build_full_circuit,
+    _registers,
     decode,
-    encode,
     plan,
     run,
     simulate,
@@ -260,11 +260,11 @@ def test_decode_known_bitstring():
         decode("0101", 3)
 
 
-def test_encode_decode_round_trip_exhaustive_n2():
-    for triplet in itertools.product(range(4), repeat=3):
-        assert decode(encode(*triplet, bits=2), 2) == triplet
+def test_decode_matches_register_split_exhaustive_n2():
+    for index in range(64):
+        assert decode(format(index, "06b"), 2) == _registers(index, 2)
     with pytest.raises(ConstraintError):
-        encode(4, 0, 0, bits=2)
+        decode("0000000", 2)
 
 
 def test_histogram_invariants_enforced():

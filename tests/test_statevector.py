@@ -22,7 +22,6 @@ from qobf.statevector import (
     run_circuit,
     sample,
     sample_counts,
-    stored_qubits,
     zero_state,
 )
 
@@ -148,10 +147,7 @@ def scattered(state):
     The implied half of a ``minus`` qubit is rebuilt as 0 - the stored
     half, the way ``run_circuit`` negates.
     """
-    outcome = np.arange(state.amplitudes.size)
-    index = np.zeros_like(outcome)
-    for k, q in enumerate(state.stored):
-        index |= ((outcome >> k) & 1) << q
+    index = np.arange(state.amplitudes.size)
     dense = np.zeros(2**state.width, dtype=np.complex128)
     dense[index] = state.amplitudes
     if state.minus is not None:
@@ -237,26 +233,26 @@ def test_pipeline_circuit_equals_gate_by_gate_reference(target):
     # the pipeline stores only the 3n inputs; the phase ancilla's |1> half is
     # implied, and both halves match the dense run bit for bit
     compact, _ = simulate(plan(target))
-    assert compact.stored == tuple(range(circuit.width - 5))
+    assert compact.stored == circuit.width - 5
     assert compact.minus == circuit.width - 1
     assert same_bits(compact.amplitudes, expected[:compact.amplitudes.size])
     assert same_bits(scattered(compact), expected)
 
 
 def test_compact_state_refuses_to_leave_an_unstored_qubit_set():
-    # qubit 1 is not stored. The first H goes straight into the stored
+    # qubit 2 is not stored. The first H goes straight into the stored
     # amplitudes, so the refusal must come before it.
-    state = zero_state(3, stored=(2, 0))
+    state = zero_state(3, stored=2)
     apply_gate(state, h(0))
     before = state.amplitudes.copy()
-    for bad in ([x(1)], [cx(0, 1)], [ccx(0, 2, 1), x(0)], [h(1)], [z(1)]):
-        with pytest.raises(ValueError, match=r"\bqubit 1\b"):
-            run_circuit(state, Circuit(3, [h(2), *bad, h(0), h(0)]))
+    for bad in ([x(2)], [cx(0, 2)], [ccx(0, 1, 2), x(0)], [h(2)], [z(2)]):
+        with pytest.raises(ValueError, match=r"\bqubit 2\b"):
+            run_circuit(state, Circuit(3, [h(1), *bad, h(0), h(0)]))
         assert same_bits(state.amplitudes, before)
-    # a run that returns qubit 1 to |0> for every basis state is fine
+    # a run that returns qubit 2 to |0> for every basis state is fine
     dense = zero_state(3)
     apply_gate(dense, h(0))
-    good = Circuit(3, [h(2), cx(0, 1), cx(1, 2), cx(0, 1), x(1), ccx(0, 1, 2), x(1), h(2)])
+    good = Circuit(3, [h(1), cx(0, 2), cx(2, 1), cx(0, 2), x(2), ccx(0, 2, 1), x(2), h(1)])
     run_circuit(state, good)
     run_circuit(dense, good)
     assert same_bits(scattered(state), dense.amplitudes)
@@ -265,7 +261,7 @@ def test_compact_state_refuses_to_leave_an_unstored_qubit_set():
 def test_minus_qubit_refuses_h_z_and_control():
     # qubit 2 is held in |->. The first H goes straight into the stored
     # amplitudes, so the refusal must come before it.
-    state = zero_state(3, stored=(1, 0), minus=2)
+    state = zero_state(3, stored=2, minus=2)
     apply_gate(state, h(0))
     before = state.amplitudes.copy()
     for bad in ([h(2)], [z(2)], [cx(2, 0)], [x(1), ccx(0, 2, 1), x(1)]):
@@ -297,10 +293,8 @@ def test_minus_qubit_equals_dense_gate_by_gate_reference(width):
     # the dense reference holds the |-> qubit's |1> half explicitly; the
     # compact state implies it, negating what runs bring over from it
     for seed in range(4):
-        rng = np.random.default_rng(10 * width + seed)
         circuit = random_kickback_circuit(width, seed=10 * width + seed)
-        state = zero_state(width, stored=tuple(rng.permutation(width - 1).tolist()),
-                           minus=width - 1)
+        state = zero_state(width, stored=width - 1, minus=width - 1)
         state.amplitudes[:] = random_state(width - 1, seed) * np.sqrt(0.5)
         expected = reference_run(scattered(state), circuit)
         run_circuit(state, circuit)
@@ -370,28 +364,20 @@ def test_run_circuit_memory_stays_within_budget():
     layers = Circuit(circuit.width, [h(0), z(1), h(0)])
     buffered = 3 * min(chunk, np.getbufsize() * state.amplitudes.itemsize)
     assert traced_peak(state, layers) <= chunk + buffered + 2**16
-    # the compact state stores 13 of the 17 qubits, in H-last order: a
-    # buffer and three indices at that width, and the butterfly temporary,
-    # here half the state; ufuncs on a piece's (rows, cols) views buffer up
-    # to np.getbufsize() amplitudes of each of their three operands. The runs
-    # compile before the buffer exists, so they stay below that.
-    compact = zero_state(circuit.width, stored=stored_qubits(circuit))
-    assert len(compact.stored) == 13
-    size = compact.amplitudes.nbytes
-    piece = min(BUTTERFLY_CHUNK * compact.amplitudes.itemsize, size // 2)
-    buffered = 3 * min(piece, np.getbufsize() * compact.amplitudes.itemsize)
-    assert traced_peak(compact, circuit) <= (size + len(runs) * size // 4 + piece
-                                            + buffered + 2**16)
-    # the pipeline's state: 12 stored qubits and the phase ancilla in |->,
-    # run without the prologue's X and H on it, which leaves two runs. Both
-    # flip the ancilla, so each adds a bool sign mask, a sixteenth of the state.
+    # the pipeline's state: the 12 input qubits and the phase ancilla in
+    # |->, run without the prologue's X and H on it, which leaves two runs: a
+    # buffer and two indices at that width, each with a bool sign mask (a
+    # sixteenth of the state), since both flip the ancilla, and the
+    # butterfly temporary, here half the state; ufuncs on a piece's (rows,
+    # cols) views buffer up to np.getbufsize() amplitudes of each of their
+    # three operands. The runs compile before the buffer exists, so they
+    # stay below that.
     prologue, block, copies = circuit.parts()
     body = Circuit(circuit.width, prologue[:-2] + block * copies, circuit.labels,
                    circuit.repeat)
     runs = permutation_runs(body)
     assert len(runs) == 2
-    kicked = zero_state(circuit.width, stored=stored_qubits(body), minus=circuit.width - 1)
-    assert len(kicked.stored) == 12
+    kicked = zero_state(circuit.width, stored=12, minus=circuit.width - 1)
     size = kicked.amplitudes.nbytes
     piece = min(BUTTERFLY_CHUNK * kicked.amplitudes.itemsize, size // 2)
     buffered = 3 * min(piece, np.getbufsize() * kicked.amplitudes.itemsize)
@@ -414,10 +400,11 @@ def test_gate_on_out_of_range_qubit_rejected():
     state = zero_state(2)
     with pytest.raises(ValueError):
         apply_gate(state, x(2))
-    circuit = Circuit(2)
-    circuit.ops.append(cx(0, 2))  # past the check Circuit.append makes
-    with pytest.raises(ValueError):
-        run_circuit(state, circuit)
+    for bad in (cx(0, 2), cx(2, 0), h(2)):
+        circuit = Circuit(2)
+        circuit.ops.append(bad)  # past the check Circuit.append makes
+        with pytest.raises(ValueError, match="state width 2"):
+            run_circuit(state, circuit)
 
 
 def test_hadamard_squared_is_identity():
@@ -462,20 +449,21 @@ def test_zero_and_basis_state_shapes():
         basis_state(2, 4)
     with pytest.raises(ConstraintError):
         zero_state(0)
-    compact = zero_state(3, stored=(2, 0))
+    compact = zero_state(3, stored=2)
     assert compact.amplitudes.size == 4 and compact.amplitudes[0] == 1.0
-    for bad in ((0, 0), (3,), (-1,)):
+    assert zero_state(3, stored=0).amplitudes.size == 1
+    for bad in (-1, 4):
         with pytest.raises(ValueError):
             zero_state(3, stored=bad)
-    # |00>|-> exactly as X then H leave the dense |000>
-    kicked = zero_state(3, stored=(2, 0), minus=1)
+    # |-> on qubit 2 exactly as X then H leave the dense |000>
+    kicked = zero_state(3, stored=2, minus=2)
     dense = zero_state(3)
-    run_circuit(dense, Circuit(3, [x(1), h(1)]))
+    run_circuit(dense, Circuit(3, [x(2), h(2)]))
     assert same_bits(scattered(kicked), dense.amplitudes)
     assert kicked.norm_error() < 1e-15
-    for bad in (0, 3, -1):
+    for bad in (0, 1, 3, -1):  # below stored or past the width
         with pytest.raises(ValueError):
-            zero_state(3, stored=(2, 0), minus=bad)
+            zero_state(3, stored=2, minus=bad)
 
 
 def test_width_cap_enforced(monkeypatch):
@@ -485,7 +473,7 @@ def test_width_cap_enforced(monkeypatch):
     with pytest.raises(ResourceLimitError):
         zero_state(5)
     with pytest.raises(ResourceLimitError):  # the cap is on the width, not the stored qubits
-        zero_state(5, stored=(0,))
+        zero_state(5, stored=1)
     monkeypatch.setenv("QOBF_MAX_QUBITS", "banana")
     with pytest.raises(ConstraintError):
         max_qubits()
@@ -493,20 +481,15 @@ def test_width_cap_enforced(monkeypatch):
     assert max_qubits() == 26
 
 
-def test_explicit_max_width_argument_wins(monkeypatch):
-    monkeypatch.setenv("QOBF_MAX_QUBITS", "3")
-    assert zero_state(5, max_width=5).width == 5
-
-
 def test_marginal_probabilities_against_bit_loop():
     width = 4
     dense = zero_state(width)
     dense.amplitudes[:] = random_state(width, seed=77)
-    # qubits 1 and 3 not stored: outcomes with either of them set have probability 0
-    compact = zero_state(width, stored=(2, 0))
+    # qubits 2 and 3 not stored: outcomes with either of them set have probability 0
+    compact = zero_state(width, stored=2)
     compact.amplitudes[:] = random_state(2, seed=78)
     # qubit 3 in |->: both of its outcomes carry the stored probability
-    kicked = zero_state(width, stored=(2, 0), minus=3)
+    kicked = zero_state(width, stored=2, minus=3)
     kicked.amplitudes[:] = random_state(2, seed=79) * np.sqrt(0.5)
     for state in (dense, compact, kicked):
         probs = np.abs(scattered(state)) ** 2
@@ -604,9 +587,9 @@ def test_fidelity_endpoints():
     with pytest.raises(ValueError):
         fidelity(zero_state(1), zero_state(2))
     with pytest.raises(ValueError):
-        fidelity(zero_state(2), zero_state(2, stored=(1, 0)))
+        fidelity(zero_state(2), zero_state(2, stored=1))
     # the implied |1> half of a |-> qubit counts as much as the stored half
-    kicked = zero_state(2, stored=(0,), minus=1)
+    kicked = zero_state(2, stored=1, minus=1)
     assert fidelity(kicked, kicked) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        fidelity(kicked, zero_state(2, stored=(0,)))
+        fidelity(kicked, zero_state(2, stored=1))
