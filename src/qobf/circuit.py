@@ -7,9 +7,11 @@ so inverting a circuit is reversing its op list.
 Circuits are treated as immutable once built; builders append, everyone
 else reads. A circuit may declare that its op list ends in ``copies``
 equal blocks of ``block`` ops (``repeat``, as a Grover circuit is a
-prologue plus R identical rounds); counts, depth, MCX expansion and
+prologue plus R identical rounds); counts, MCX expansion and
 serialization then do the per-op work on the prologue and one block
-only. The textual format (serialize/parse) is line oriented:
+only, and depth walks copies of the block only until one copy lifts
+every qubit it touches by the same amount. The textual format
+(serialize/parse) is line oriented:
 a ``width`` header, optional ``label <name> <i...>`` lines, then one
 lowercase op per line with controls listed before the target. ``#``
 starts a comment.
@@ -19,8 +21,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import CircuitParseError
 
@@ -174,37 +174,39 @@ def inverse(circuit: Circuit) -> Circuit:
     return Circuit(circuit.width, list(reversed(circuit.ops)), dict(circuit.labels))
 
 
-# "no path" in the max-plus transfer matrix; far below any reachable depth
-_NO_PATH = np.iinfo(np.int64).min // 2
+def _layer(level: list[int], ops: list[GateOp]):
+    """Place ``ops`` greedily on top of the per-qubit ``level`` list, in place."""
+    for op in ops:
+        qs = op.qubits()
+        layer = 1 + max(level[q] for q in qs)
+        for q in qs:
+            level[q] = layer
 
 
 def depth(circuit: Circuit) -> int:
     """Layer count under greedy as-soon-as-possible scheduling.
 
     Two gates conflict iff they share a qubit index; a gate lands on the
-    layer after the deepest layer among its qubits. The prologue is
-    walked gate by gate. The per-qubit levels after one block are a
-    max-plus linear map of the levels before it, so the block is walked
-    once into an exact integer transfer matrix, which is then applied
-    once per copy.
+    layer after the deepest layer among its qubits. The prologue and then
+    the block are walked gate by gate, one copy at a time. A block maps
+    the levels of the qubits it touches max-plus linearly, and adding a
+    constant to every level commutes with that map, so once one copy
+    lifts every touched qubit by the same amount, every later copy does
+    too: the walk adds the remaining copies' rise at once and stops.
     """
     prologue, block, copies = circuit.parts()
     level = [0] * circuit.width
-    for op in prologue:
-        qs = op.qubits()
-        layer = 1 + max(level[q] for q in qs)
-        for q in qs:
-            level[q] = layer
-    # transfer[q, p]: longest path from qubit p entering the block to q leaving it
-    transfer = np.full((circuit.width, circuit.width), _NO_PATH, dtype=np.int64)
-    np.fill_diagonal(transfer, 0)
-    for op in block:
-        qs = list(op.qubits())
-        transfer[qs] = transfer[qs].max(axis=0) + 1
-    level = np.array(level, dtype=np.int64)
-    for _ in range(copies):
-        level = (transfer + level).max(axis=1)
-    return int(level.max())
+    _layer(level, prologue)
+    touched = list({q for op in block for q in op.qubits()})
+    for done in range(1, copies + 1):
+        before = [level[q] for q in touched]
+        _layer(level, block)
+        rises = [level[q] - b for q, b in zip(touched, before)]
+        if len(set(rises)) <= 1:  # uniform, or an empty block: so is every later copy
+            for q, rise in zip(touched, rises):
+                level[q] += (copies - done) * rise
+            break
+    return max(level)
 
 
 def gate_counts(circuit: Circuit) -> dict[str, int]:

@@ -418,15 +418,15 @@ def sample_counts(marginal: np.ndarray, shots: int, seed: int) -> np.ndarray:
     check_sampling(shots, seed)
     cdf = np.cumsum(marginal)
     rng = np.random.Generator(np.random.PCG64(seed))
-    counts = np.zeros(len(marginal), dtype=np.int64)
+    # below[k] = draws with outcome <= k, summed over the chunks
+    below = np.zeros(len(marginal), dtype=np.int64)
     for start in range(0, shots, SAMPLE_CHUNK):
         draws = rng.random(min(SAMPLE_CHUNK, shots - start))
         draws.sort()
-        # below[k] = draws with outcome <= k; the last outcome takes the tail
-        below = np.searchsorted(draws, cdf, side="left")
-        below[-1] = len(draws)
-        counts += np.diff(below, prepend=0)
-    return counts
+        below += np.searchsorted(draws, cdf, side="left")
+    del cdf
+    below[-1] = shots  # the last outcome takes the tail
+    return np.diff(below, prepend=0)
 
 
 def sample(state: StateVector, qubits, shots: int, seed: int) -> Histogram:

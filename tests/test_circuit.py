@@ -1,5 +1,7 @@
 """Circuit representation: construction, metrics, MCX expansion, text format."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -209,6 +211,23 @@ def reference_depth(circuit):
     return max(level)
 
 
+def test_depth_walks_copies_until_a_copy_lifts_every_touched_qubit_alike():
+    # the first copy lifts qubit 0 by 1 and qubits 1-2 by 7; from the
+    # second on, each copy lifts all three by 2
+    settles = Circuit(4, [h(0)] * 5 + [cx(0, 1), cx(1, 2)] * 50, repeat=(2, 50))
+    assert depth(settles) == reference_depth(settles) == 7 + 2 * 49
+    # qubits 0-1 rise by 2 per copy and qubits 2-3 by 1, so no copy ever
+    # lifts them alike; qubit 4 is untouched
+    uneven = Circuit(5, [h(4)] + [cx(0, 1), cx(1, 0), cx(2, 3)] * 60, repeat=(3, 60))
+    assert depth(uneven) == reference_depth(uneven) == 2 * 60
+
+
+def test_depth_of_an_empty_block_returns_at_once():
+    start = time.perf_counter()
+    assert depth(Circuit(2, [h(0)], repeat=(0, 10**9))) == 1
+    assert time.perf_counter() - start < 0.1
+
+
 def flat(circuit):
     return Circuit(circuit.width, list(circuit.ops), dict(circuit.labels))
 
@@ -265,20 +284,28 @@ def test_decompose_keeps_the_repeat_of_the_expanded_block():
     assert expanded.width == 8
 
 
+# fewest controls each kind takes
+MIN_CONTROLS = {"h": 0, "x": 0, "z": 0, "cx": 1, "ccx": 2, "mcx": 3}
+
+
 @st.composite
-def gate_ops(draw, width):
-    kind = draw(st.sampled_from(GATE_KINDS))
-    controls = {"cx": 1, "ccx": 2, "mcx": draw(st.integers(3, width - 1))}.get(kind, 0)
-    qubits = draw(st.permutations(range(width)))[:controls + 1]
-    return GateOp(kind, tuple(qubits[1:]), qubits[0])
+def gate_ops(draw, qubits):
+    """One gate on distinct qubits drawn from ``qubits``."""
+    room = len(qubits) - 1
+    kind = draw(st.sampled_from([k for k in GATE_KINDS if MIN_CONTROLS[k] <= room]))
+    controls = draw(st.integers(3, room)) if kind == "mcx" else MIN_CONTROLS[kind]
+    chosen = draw(st.permutations(qubits))[:controls + 1]
+    return GateOp(kind, tuple(chosen[1:]), chosen[0])
 
 
 @st.composite
 def repeated_circuits(draw):
     width = draw(st.integers(4, 7))
-    prologue = draw(st.lists(gate_ops(width), max_size=6))
-    block = draw(st.lists(gate_ops(width), max_size=6))
-    copies = draw(st.integers(0, 5))
+    prologue = draw(st.lists(gate_ops(range(width)), max_size=6))
+    # the block's gates may leave some qubits untouched
+    span = draw(st.permutations(range(width)))[:draw(st.integers(1, width))]
+    block = draw(st.lists(gate_ops(span), max_size=6))
+    copies = draw(st.integers(0, 300))
     labels = {"in": (0, 1)} if draw(st.booleans()) else {}
     return Circuit(width, prologue + block * copies, labels, (len(block), copies))
 

@@ -25,6 +25,7 @@ from qobf.obfuscator import (
     to_json_dict,
 )
 from qobf.statevector import marginal_probabilities, sample
+from test_circuit import reference_depth
 
 
 def test_plan_picks_minimal_register_width():
@@ -137,19 +138,19 @@ def reference_full_circuit(case):
     return circuit
 
 
-@pytest.mark.parametrize("target", [*range(1, 64), 375, 757])
+@pytest.mark.parametrize("target", [*range(1, 64), 375, 382, 757, 765])
 def test_full_circuit_equals_the_round_by_round_build(target):
     case = plan(target)
     built = build_full_circuit(case)
     reference = reference_full_circuit(case)
     assert built.ops == reference.ops
     assert built.repeat[1] == case.iterations
-    flat = Circuit(built.width, list(built.ops), dict(built.labels))
+    assert reference.repeat == (0, 0)  # appending leaves it flat
     assert gate_counts(built) == gate_counts(reference)
-    assert depth(built) == depth(flat)
-    expanded, flat_expanded = decompose_mcx(built), decompose_mcx(flat)
+    assert depth(built) == reference_depth(reference)
+    expanded, flat_expanded = decompose_mcx(built), decompose_mcx(reference)
     assert expanded.ops == flat_expanded.ops
-    assert depth(expanded) == depth(flat_expanded)
+    assert depth(expanded) == reference_depth(flat_expanded)
 
 
 def test_zero_iteration_plan_builds_bare_initialization():

@@ -571,6 +571,38 @@ def test_sample_counts_equal_one_searchsorted_over_all_draws(shots):
     assert counts[-1] > 0
 
 
+def per_chunk_counts(marginal, shots, seed):
+    """Inverse-CDF counts taking one difference per chunk of draws."""
+    cdf = np.cumsum(marginal)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    counts = np.zeros(len(marginal), dtype=np.int64)
+    for start in range(0, shots, SAMPLE_CHUNK):
+        draws = np.sort(rng.random(min(SAMPLE_CHUNK, shots - start)))
+        below = np.searchsorted(draws, cdf, side="left")
+        below[-1] = len(draws)
+        counts += np.diff(below, prepend=0)
+    return counts
+
+
+def test_sample_counts_memory_stays_within_three_outcome_arrays():
+    # N=255's marginal has 2^21 outcomes. Beside it, sampling holds the
+    # cdf, the summed positions and one chunk's positions, then the
+    # positions, their padded copy and the counts, plus the draws of at
+    # most two chunks and small objects (under 64 KiB)
+    marginal = np.random.default_rng(5).random(1 << 21)
+    marginal /= marginal.sum()
+    bound = 3 * marginal.nbytes + 2 * SAMPLE_CHUNK * 8 + 2**16
+    for shots, seed in ((1024, 3), (SAMPLE_CHUNK + 1, 7), (2 * SAMPLE_CHUNK, 11)):
+        tracemalloc.start()
+        try:
+            counts = sample_counts(marginal, shots, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+        assert np.array_equal(counts, per_chunk_counts(marginal, shots, seed))
+
+
 def test_histogram_checks_totals():
     with pytest.raises(ValueError):
         Histogram(2, {"00": 3}, 4)
