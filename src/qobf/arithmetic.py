@@ -165,7 +165,7 @@ def build_triple_sum(n: int, width: int | None = None) -> tuple[Circuit, SumLayo
     )
     circuit = Circuit(
         width,
-        list(adder1.ops) + list(adder2.ops),
+        adder1.ops + adder2.ops,
         labels={
             "x": layout.x_qubits,
             "y": layout.y_qubits,

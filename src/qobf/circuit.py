@@ -5,12 +5,13 @@ CX, CCX and MCX (3+ controls). Every gate in the set is self-inverse,
 so inverting a circuit is reversing its op list.
 
 Circuits are treated as immutable once built; builders append, everyone
-else reads. A circuit may declare that its op list ends in ``copies``
-equal blocks of ``block`` ops (``repeat``, as a Grover circuit is a
-prologue plus R identical rounds); counts, MCX expansion and
-serialization then do the per-op work on the prologue and one block
-only, and depth walks copies of the block only until one copy lifts
-every qubit it touches by the same amount. The textual format
+else reads. A circuit is a ``prologue`` then ``copies`` of one
+``block`` (a Grover circuit is a prologue plus R identical rounds; a
+flat one is all prologue), and ``ops``, the flat op list, is built on
+each read. Counts, MCX expansion and serialization do the per-op work
+on the prologue and one block only, and depth walks copies of the
+block only until one copy lifts every qubit it touches by the same
+amount. The textual format
 (serialize/parse) is line oriented:
 a ``width`` header, optional ``label <name> <i...>`` lines, then one
 lowercase op per line with controls listed before the target. ``#``
@@ -92,32 +93,29 @@ def mcx(controls, target: int) -> GateOp:
     return GateOp("mcx", controls, target)
 
 
-@dataclass
+@dataclass(eq=False)
 class Circuit:
-    """Ordered gate list over ``width`` qubits, with optional register labels.
+    """``prologue`` then ``copies`` of ``block`` over ``width`` qubits, with register labels.
 
-    ``repeat = (block, copies)`` says the last ``block * copies`` ops are
-    ``copies`` equal blocks; the ops before them are the prologue. A flat
-    circuit is ``(0, 0)``. It is not part of equality, and appending
-    clears it.
+    Equality compares the width, the labels and the flat op list, so a
+    flat circuit equals a repeated one with the same ops. Appending to a
+    repeated circuit makes it flat first.
     """
 
     width: int
-    ops: list[GateOp] = field(default_factory=list)
+    prologue: list[GateOp] = field(default_factory=list)
     labels: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    repeat: tuple[int, int] = field(default=(0, 0), compare=False)
+    block: list[GateOp] = field(default_factory=list)
+    copies: int = 0
 
     def __post_init__(self):
         if self.width < 1:
             raise ValueError(f"circuit width must be >= 1, got {self.width}")
-        block, copies = self.repeat
-        start = len(self.ops) - block * copies
-        if block < 0 or copies < 0 or start < 0:
-            raise ValueError(f"repeat {self.repeat} does not fit {len(self.ops)} ops")
-        # the tail is periodic iff it equals itself shifted by one block
-        if self.ops[start + block:] != self.ops[start:len(self.ops) - block]:
-            raise ValueError(f"the last {copies} blocks of {block} ops are not equal")
-        for op in self.ops[:start + block]:
+        if self.copies < 0:
+            raise ValueError(f"copies must be >= 0, got {self.copies}")
+        if not self.copies:
+            self.block = []  # no op of a block run zero times is in the circuit
+        for op in self.prologue + self.block:
             self._check_op(op)
         self.labels = {name: tuple(idx) for name, idx in self.labels.items()}
         self._check_labels()
@@ -139,23 +137,27 @@ class Circuit:
                     raise ValueError(f"label {name!r} overlaps another label at {q}")
                 seen.add(q)
 
+    @property
+    def ops(self) -> list[GateOp]:
+        """The flat op list, a new list on each read."""
+        return self.prologue + self.block * self.copies
+
     def append(self, op: GateOp):
         self._check_op(op)
-        self.ops.append(op)
-        self.repeat = (0, 0)
+        if self.copies:
+            self.prologue, self.block, self.copies = self.ops, [], 0
+        self.prologue.append(op)
 
     def extend(self, ops):
         for op in ops:
             self.append(op)
 
     def __len__(self):
-        return len(self.ops)
+        return len(self.prologue) + len(self.block) * self.copies
 
-    def parts(self) -> tuple[list[GateOp], list[GateOp], int]:
-        """(prologue, block, copies): ops == prologue + block * copies."""
-        block, copies = self.repeat
-        start = len(self.ops) - block * copies
-        return self.ops[:start], self.ops[start:start + block], copies
+    def __eq__(self, other):
+        return (isinstance(other, Circuit) and self.width == other.width
+                and self.labels == other.labels and self.ops == other.ops)
 
 
 def compose(a: Circuit, b: Circuit) -> Circuit:
@@ -166,7 +168,7 @@ def compose(a: Circuit, b: Circuit) -> Circuit:
     if a.width != b.width:
         raise ValueError(f"compose width mismatch: {a.width} != {b.width}")
     labels = a.labels if a.labels else b.labels
-    return Circuit(a.width, list(a.ops) + list(b.ops), dict(labels))
+    return Circuit(a.width, a.ops + b.ops, dict(labels))
 
 
 def inverse(circuit: Circuit) -> Circuit:
@@ -194,29 +196,27 @@ def depth(circuit: Circuit) -> int:
     lifts every touched qubit by the same amount, every later copy does
     too: the walk adds the remaining copies' rise at once and stops.
     """
-    prologue, block, copies = circuit.parts()
     level = [0] * circuit.width
-    _layer(level, prologue)
-    touched = list({q for op in block for q in op.qubits()})
-    for done in range(1, copies + 1):
+    _layer(level, circuit.prologue)
+    touched = list({q for op in circuit.block for q in op.qubits()})
+    for done in range(1, circuit.copies + 1):
         before = [level[q] for q in touched]
-        _layer(level, block)
+        _layer(level, circuit.block)
         rises = [level[q] - b for q, b in zip(touched, before)]
         if len(set(rises)) <= 1:  # uniform, or an empty block: so is every later copy
             for q, rise in zip(touched, rises):
-                level[q] += (copies - done) * rise
+                level[q] += (circuit.copies - done) * rise
             break
     return max(level)
 
 
 def gate_counts(circuit: Circuit) -> dict[str, int]:
     """Per-kind op counts plus a ``total`` entry."""
-    prologue, block, copies = circuit.parts()
-    counts = Counter(op.kind for op in prologue)
-    for kind, count in Counter(op.kind for op in block).items():
-        counts[kind] += copies * count
+    counts = Counter(op.kind for op in circuit.prologue)
+    for kind, count in Counter(op.kind for op in circuit.block).items():
+        counts[kind] += circuit.copies * count
     result = {kind: counts.get(kind, 0) for kind in GATE_KINDS}
-    result["total"] = len(circuit.ops)
+    result["total"] = len(circuit)
     return result
 
 
@@ -234,35 +234,18 @@ def _vchain(controls: tuple[int, ...], target: int, ancillas: list[int]) -> list
     return forward + [middle] + list(reversed(forward))
 
 
-def decompose_mcx(circuit: Circuit, ancillas=None) -> Circuit:
+def decompose_mcx(circuit: Circuit) -> Circuit:
     """Rewrite every MCX into CCX gates via the clean-ancilla V-chain.
 
-    ``ancillas`` names qubits known to be |0> whenever an MCX fires; they
-    are restored to |0> by each chain. With ``ancillas=None`` fresh qubits
-    are allocated past the current width instead (one shared pool, sized
-    for the widest MCX). Emitted circuits use only {H, X, Z, CX, CCX}.
-    The prologue and one block are expanded; the expanded block is
-    repeated as many times as the block was.
+    The chains use fresh qubits past the current width (one pool, sized
+    for the widest MCX), which each chain restores to |0>. Emitted
+    circuits use only {H, X, Z, CX, CCX}. The prologue and one block
+    are expanded, with one chain per distinct MCX.
     """
-    prologue, block, copies = circuit.parts()
-    widest = max((len(op.controls) for op in prologue + block if op.kind == "mcx"),
-                 default=0)
-    if not widest:
-        return Circuit(circuit.width, list(circuit.ops), dict(circuit.labels),
-                       circuit.repeat)
-
-    need = widest - 2
-    if ancillas is None:
-        pool = list(range(circuit.width, circuit.width + need))
-        new_width = circuit.width + need
-    else:
-        pool = list(ancillas)
-        if len(set(pool)) != len(pool):
-            raise ValueError("ancilla indices must be distinct")
-        for q in pool:
-            if not 0 <= q < circuit.width:
-                raise ValueError(f"ancilla index {q} out of range")
-        new_width = circuit.width
+    widest = max((len(op.controls) for op in circuit.prologue + circuit.block
+                  if op.kind == "mcx"), default=0)
+    pool = list(range(circuit.width, circuit.width + max(widest - 2, 0)))
+    chains: dict[GateOp, list[GateOp]] = {}
 
     def expand(ops: list[GateOp]) -> list[GateOp]:
         out = []
@@ -270,20 +253,13 @@ def decompose_mcx(circuit: Circuit, ancillas=None) -> Circuit:
             if op.kind != "mcx":
                 out.append(op)
                 continue
-            busy = set(op.qubits())
-            usable = [q for q in pool if q not in busy]
-            wanted = len(op.controls) - 2
-            if len(usable) < wanted:
-                raise ValueError(
-                    f"mcx with {len(op.controls)} controls needs {wanted} clean "
-                    f"ancillas, only {len(usable)} available"
-                )
-            out.extend(_vchain(op.controls, op.target, usable[:wanted]))
+            if op not in chains:
+                chains[op] = _vchain(op.controls, op.target, pool)
+            out.extend(chains[op])
         return out
 
-    head, body = expand(prologue), expand(block)
-    return Circuit(new_width, head + body * copies, dict(circuit.labels),
-                   (len(body), copies))
+    return Circuit(circuit.width + len(pool), expand(circuit.prologue),
+                   dict(circuit.labels), expand(circuit.block), circuit.copies)
 
 
 def _op_line(op: GateOp) -> str:
@@ -292,12 +268,11 @@ def _op_line(op: GateOp) -> str:
 
 def serialize(circuit: Circuit) -> str:
     """Render the textual format. Little-endian indices, ASCII, \\n endings."""
-    prologue, block, copies = circuit.parts()
     lines = [f"width {circuit.width}\n"]
     for name, indices in circuit.labels.items():
         lines.append("label " + name + " " + " ".join(str(q) for q in indices) + "\n")
-    lines.extend(map(_op_line, prologue))
-    return "".join(lines) + "".join(map(_op_line, block)) * copies
+    lines.extend(map(_op_line, circuit.prologue))
+    return "".join(lines) + "".join(map(_op_line, circuit.block)) * circuit.copies
 
 
 def _parse_int(token: str, line_number: int) -> int:

@@ -172,10 +172,9 @@ def plan(target: int, bits: int | None = None) -> ObfuscationPlan:
 def build_full_circuit(obf_plan: ObfuscationPlan) -> Circuit:
     """Initialization layer plus the planned number of Grover rounds.
 
-    One round (oracle then diffuser) is built once; the circuit's op
-    list repeats the same op objects once per round and its ``repeat``
-    marks the rounds. Raises a resource error, before the rounds are
-    laid out, when the circuit would have more than MAX_CIRCUIT_OPS ops.
+    One round (oracle then diffuser) is built once and is the circuit's
+    block, repeated once per round. Raises a resource error when the
+    circuit would have more than MAX_CIRCUIT_OPS ops.
     """
     width = obf_plan.total_qubits
     qubit_map = obf_plan.qubit_map
@@ -196,8 +195,7 @@ def build_full_circuit(obf_plan: ObfuscationPlan) -> Circuit:
             f"{obf_plan.iterations} rounds of {len(one_round)} ops ({total} ops); "
             f"the circuit budget is {MAX_CIRCUIT_OPS} ops"
         )
-    return Circuit(width, prologue + one_round * obf_plan.iterations, labels,
-                   (len(one_round), obf_plan.iterations))
+    return Circuit(width, prologue, labels, one_round, obf_plan.iterations)
 
 
 def simulate(obf_plan: ObfuscationPlan) -> tuple[StateVector, float]:
@@ -217,10 +215,8 @@ def simulate(obf_plan: ObfuscationPlan) -> tuple[StateVector, float]:
     check_width(obf_plan.total_qubits)
     circuit = build_full_circuit(obf_plan)
     ancilla = obf_plan.qubit_map["grover_ancilla"]
-    prologue, block, copies = circuit.parts()
-    body = Circuit(circuit.width,
-                   [op for op in prologue if op.target != ancilla] + block * copies,
-                   circuit.labels, circuit.repeat)
+    body = Circuit(circuit.width, [op for op in circuit.prologue if op.target != ancilla],
+                   circuit.labels, circuit.block, circuit.copies)
     state = zero_state(body.width, stored=3 * obf_plan.bits, minus=ancilla)
     start = time.perf_counter()
     run_circuit(state, body)
@@ -235,8 +231,16 @@ def _registers(index: np.ndarray, bits: int):
 
 
 def _solution_mass(obf_plan: ObfuscationPlan, marginal: np.ndarray) -> float:
-    xs, ys, zs = _registers(np.arange(marginal.size), obf_plan.bits)
-    value = float(marginal[xs + ys + zs == obf_plan.target].sum())
+    # the solutions' indices x + y*2^n + z*2^(2n), ascending: by z, then y,
+    # with x = target - y - z in range. A mask over every outcome picks the
+    # same entries in the same order, so the pairwise sum has the same bits.
+    n, target = obf_plan.bits, obf_plan.target
+    top = (1 << n) - 1
+    pieces = []
+    for z in range(min(top, target) + 1):
+        y = np.arange(max(0, target - z - top), min(top, target - z) + 1)
+        pieces.append((target - z - y) + (y << n) + (z << 2 * n))
+    value = float(marginal[np.concatenate(pieces)].sum())
     return min(max(value, 0.0), 1.0)
 
 

@@ -22,8 +22,8 @@ would need amplitudes the compact state does not hold.
 X, CX, CCX and MCX permute basis states, so ``run_circuit`` splits the
 op list into maximal runs of them and applies each run as one gather
 through a precomputed index array, built by pushing packed bit planes
-through the run's gates. A run that recurs (every Grover round repeats
-the same ops) is compiled once per call, and every run is compiled
+through the run's gates. Only the prologue and one copy of the block
+(a Grover round) are split into runs, each compiled once per call
 before the first gate is applied. H and Z are applied gate by gate on
 a (hi, 2, lo) view that splits the target's bit; H goes through it in
 pieces of BUTTERFLY_CHUNK amplitudes with one reused temporary, so
@@ -279,6 +279,30 @@ def _butterfly(amplitudes: np.ndarray, kind: str, bit: int, temp: np.ndarray):
             np.multiply(diff, _INV_SQRT2, out=b)
 
 
+def _split(ops: list[GateOp], state: StateVector, compiled: dict) -> list:
+    """``ops`` as (permutes, ops) segments: maximal X/CX/CCX/MCX runs, and H/Z gates.
+
+    Checks each H and Z on ``state``; compiles each run not yet in ``compiled``.
+    """
+    width = state.width
+    segments = []
+    for permutes, group in groupby(ops, key=lambda op: op.kind in _PERMUTATION_KINDS):
+        run = tuple(group)
+        segments.append((permutes, run))
+        if permutes:
+            if run not in compiled:
+                compiled[run] = _compile_run(run, state)
+            continue
+        for op in run:
+            if op.target >= width:
+                raise ValueError(f"gate {op.kind} touches qubit {op.target}, state width {width}")
+            if op.target >= state.stored:
+                raise ValueError(
+                    f"qubit {op.target} carries an H or Z gate, but the state does not store it"
+                )
+    return segments
+
+
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     """Apply one gate in place and return the state."""
     return run_circuit(state, Circuit(state.width, [gate]))
@@ -288,13 +312,14 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Apply the circuit's ops in order, in place, and return the state.
 
     Qubit q is index bit q throughout. Each maximal run of X/CX/CCX/MCX
-    gates is applied as one gather into a buffer of the state's size;
-    runs with the same ops are compiled once per call, all before the
-    first gate is applied. H and Z are applied gate by gate, H in
-    pieces of BUTTERFLY_CHUNK amplitudes. A run that flips the state's
-    ``minus`` qubit negates (as 0 - a), after the gather, the amplitudes
-    it brought over from the implied half. After an odd number of
-    gathers the amplitudes are copied back from the buffer.
+    gates is applied as one gather into a buffer of the state's size,
+    also a run across the seam after the prologue or between copies of
+    the block. Runs with the same ops are compiled once per call, all
+    before the first gate is applied. H and Z are applied gate by gate,
+    H in pieces of BUTTERFLY_CHUNK amplitudes. A run that flips the
+    state's ``minus`` qubit negates (as 0 - a), after the gather, the
+    amplitudes it brought over from the implied half. After an odd
+    number of gathers the amplitudes are copied back from the buffer.
 
     Raises ValueError, leaving the state as it was, for a width
     mismatch, a gate past the width, an H or Z on a qubit the state
@@ -306,29 +331,24 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
         raise ValueError(
             f"circuit width {circuit.width} != state width {width}"
         )
-    # one scan of the ops: split them into runs, check every gate, compile
-    segments = []
+    # Each copy of the block is walked from its first H or Z, so a run across
+    # a seam stays one run, as in the flat op list. A block with no H or Z
+    # makes one run of every op after the prologue's last H or Z.
+    cut = next((i for i, op in enumerate(circuit.block)
+                if op.kind not in _PERMUTATION_KINDS), None)
+    parts = [(circuit.ops, 1)]
+    if cut is not None:
+        head, tail = circuit.block[:cut], circuit.block[cut:]
+        parts = [(circuit.prologue + head, 1), (tail + head, circuit.copies - 1), (tail, 1)]
     compiled: dict[tuple[GateOp, ...], tuple[np.ndarray, np.ndarray | None]] = {}
-    for permutes, group in groupby(circuit.ops, key=lambda op: op.kind in _PERMUTATION_KINDS):
-        ops = tuple(group)
-        segments.append((permutes, ops))
-        if permutes:
-            if ops not in compiled:
-                compiled[ops] = _compile_run(ops, state)
-            continue
-        for op in ops:
-            if op.target >= width:
-                raise ValueError(f"gate {op.kind} touches qubit {op.target}, state width {width}")
-            if op.target >= state.stored:
-                raise ValueError(
-                    f"qubit {op.target} carries an H or Z gate, but the state does not store it"
-                )
+    schedule = [(_split(part, state, compiled), times) for part, times in parts if times]
 
     amplitudes = state.amplitudes
     spare = None
     # a butterfly's halves are at most half the state
     temp = np.empty(min(BUTTERFLY_CHUNK, amplitudes.size // 2), dtype=amplitudes.dtype)
-    for permutes, ops in segments:
+    steps = (step for segments, times in schedule for _ in range(times) for step in segments)
+    for permutes, ops in steps:
         if not permutes:
             for op in ops:
                 _butterfly(amplitudes, op.kind, op.target, temp)

@@ -49,7 +49,7 @@ def read_bits(index, qubits):
 
 def test_maj_computes_majority_and_parities():
     # wires (c, b, a) = (0, 1, 2)
-    circuit = Circuit(3, ops=maj(0, 1, 2))
+    circuit = Circuit(3, maj(0, 1, 2))
     for c0, b0, a0 in itertools.product((0, 1), repeat=3):
         out = final_basis_index(circuit, c0 | (b0 << 1) | (a0 << 2))
         majority = int(a0 + b0 + c0 >= 2)
@@ -59,7 +59,7 @@ def test_maj_computes_majority_and_parities():
 
 
 def test_maj_then_uma_is_one_adder_column():
-    circuit = Circuit(3, ops=maj(0, 1, 2) + uma(0, 1, 2))
+    circuit = Circuit(3, maj(0, 1, 2) + uma(0, 1, 2))
     for c0, b0, a0 in itertools.product((0, 1), repeat=3):
         out = final_basis_index(circuit, c0 | (b0 << 1) | (a0 << 2))
         assert out & 1 == c0  # carry-in wire restored

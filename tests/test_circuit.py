@@ -62,7 +62,7 @@ def test_circuit_validates_ops_and_labels():
     with pytest.raises(ValueError):
         Circuit(0)
     with pytest.raises(ValueError):
-        Circuit(2, ops=[x(2)])
+        Circuit(2, [x(2)])
     with pytest.raises(ValueError):
         Circuit(2, labels={"a": (0,), "b": (0, 1)})  # overlap
     with pytest.raises(ValueError):
@@ -75,8 +75,8 @@ def test_circuit_validates_ops_and_labels():
 
 
 def test_compose_and_inverse():
-    first = Circuit(2, ops=[h(0)])
-    second = Circuit(2, ops=[cx(0, 1)])
+    first = Circuit(2, [h(0)])
+    second = Circuit(2, [cx(0, 1)])
     both = compose(first, second)
     assert [op.kind for op in both.ops] == ["h", "cx"]
     with pytest.raises(ValueError):
@@ -92,16 +92,16 @@ def test_compose_and_inverse():
 
 def test_depth_hand_computed_cases():
     assert depth(Circuit(3)) == 0
-    assert depth(Circuit(3, ops=[h(0), h(1), h(2)])) == 1
-    assert depth(Circuit(3, ops=[h(0), cx(0, 1), h(2)])) == 2
-    assert depth(Circuit(2, ops=[h(0), h(0), h(0)])) == 3
+    assert depth(Circuit(3, [h(0), h(1), h(2)])) == 1
+    assert depth(Circuit(3, [h(0), cx(0, 1), h(2)])) == 2
+    assert depth(Circuit(2, [h(0), h(0), h(0)])) == 3
     # ccx blocks all three lines, the trailing h must wait
-    assert depth(Circuit(3, ops=[ccx(0, 1, 2), h(1)])) == 2
-    assert depth(Circuit(4, ops=[cx(0, 1), cx(2, 3), cx(1, 2)])) == 2
+    assert depth(Circuit(3, [ccx(0, 1, 2), h(1)])) == 2
+    assert depth(Circuit(4, [cx(0, 1), cx(2, 3), cx(1, 2)])) == 2
 
 
 def test_gate_counts_totals():
-    circuit = Circuit(4, ops=[h(0), h(1), x(2), ccx(0, 1, 2), mcx((0, 1, 2), 3)])
+    circuit = Circuit(4, [h(0), h(1), x(2), ccx(0, 1, 2), mcx((0, 1, 2), 3)])
     counts = gate_counts(circuit)
     assert counts == {"h": 2, "x": 1, "z": 0, "cx": 0, "ccx": 1, "mcx": 1,
                       "total": 5}
@@ -110,7 +110,7 @@ def test_gate_counts_totals():
 def test_decompose_mcx_matches_original_on_fresh_ancillas():
     for k in (3, 4, 5):
         width = k + 1
-        original = Circuit(width, ops=[mcx(tuple(range(k)), k)])
+        original = Circuit(width, [mcx(tuple(range(k)), k)])
         expanded = decompose_mcx(original)
         assert expanded.width == width + (k - 2)
         counts = gate_counts(expanded)
@@ -137,34 +137,21 @@ def test_decompose_mcx_matches_original_on_fresh_ancillas():
         assert np.abs(padded.amplitudes[2 ** width:]).max() < 1e-12
 
 
-def test_decompose_mcx_with_explicit_ancilla_pool():
-    circuit = Circuit(8, ops=[h(7), mcx((0, 1, 2), 3), mcx((1, 2, 3), 0)])
-    expanded = decompose_mcx(circuit, ancillas=(5, 6))
-    assert expanded.width == 8
-    assert gate_counts(expanded)["mcx"] == 0
-    with pytest.raises(ValueError):
-        decompose_mcx(Circuit(6, ops=[mcx((0, 1, 2, 3), 4)]), ancillas=(5,))
-    with pytest.raises(ValueError):
-        decompose_mcx(circuit, ancillas=(5, 5))
-    with pytest.raises(ValueError):
-        decompose_mcx(circuit, ancillas=(9,))
-
-
 def test_decompose_leaves_small_gates_alone():
-    circuit = Circuit(3, ops=[h(0), cx(0, 1), ccx(0, 1, 2)])
+    circuit = Circuit(3, [h(0), cx(0, 1), ccx(0, 1, 2)])
     expanded = decompose_mcx(circuit)
     assert expanded.ops == circuit.ops
     assert expanded.width == 3
 
 
 def test_serialize_minimal_example():
-    assert serialize(Circuit(2, ops=[h(0)])) == "width 2\nh 0\n"
+    assert serialize(Circuit(2, [h(0)])) == "width 2\nh 0\n"
 
 
 def test_serialize_parse_round_trip_with_labels():
     circuit = Circuit(
         5,
-        ops=[h(0), x(1), z(2), cx(0, 1), ccx(1, 2, 3), mcx((0, 1, 2), 4)],
+        [h(0), x(1), z(2), cx(0, 1), ccx(1, 2, 3), mcx((0, 1, 2), 4)],
         labels={"in": (0, 1, 2), "work": (3,), "flag": (4,)},
     )
     again = parse(serialize(circuit))
@@ -214,62 +201,65 @@ def reference_depth(circuit):
 def test_depth_walks_copies_until_a_copy_lifts_every_touched_qubit_alike():
     # the first copy lifts qubit 0 by 1 and qubits 1-2 by 7; from the
     # second on, each copy lifts all three by 2
-    settles = Circuit(4, [h(0)] * 5 + [cx(0, 1), cx(1, 2)] * 50, repeat=(2, 50))
+    settles = Circuit(4, [h(0)] * 5, block=[cx(0, 1), cx(1, 2)], copies=50)
     assert depth(settles) == reference_depth(settles) == 7 + 2 * 49
     # qubits 0-1 rise by 2 per copy and qubits 2-3 by 1, so no copy ever
     # lifts them alike; qubit 4 is untouched
-    uneven = Circuit(5, [h(4)] + [cx(0, 1), cx(1, 0), cx(2, 3)] * 60, repeat=(3, 60))
+    uneven = Circuit(5, [h(4)], block=[cx(0, 1), cx(1, 0), cx(2, 3)], copies=60)
     assert depth(uneven) == reference_depth(uneven) == 2 * 60
 
 
 def test_depth_of_an_empty_block_returns_at_once():
     start = time.perf_counter()
-    assert depth(Circuit(2, [h(0)], repeat=(0, 10**9))) == 1
+    assert depth(Circuit(2, [h(0)], copies=10**9)) == 1
     assert time.perf_counter() - start < 0.1
 
 
 def flat(circuit):
-    return Circuit(circuit.width, list(circuit.ops), dict(circuit.labels))
+    return Circuit(circuit.width, circuit.ops, dict(circuit.labels))
 
 
 def test_repeat_must_describe_the_op_list():
     ops = [h(0), cx(0, 1), x(1), cx(0, 1), x(1)]
-    assert Circuit(2, ops, repeat=(2, 2)).parts() == ([h(0)], [cx(0, 1), x(1)], 2)
-    assert Circuit(2, ops, repeat=(1, 1)).parts() == (ops[:4], [x(1)], 1)
-    assert Circuit(2, ops, repeat=(3, 0)).parts() == (ops, [], 0)
-    for bad in ((2, 3), (3, 2), (5, 2), (-1, 1), (1, -1), (1, 2)):
-        with pytest.raises(ValueError):
-            Circuit(2, ops, repeat=bad)
+    for prologue, block, copies in (([h(0)], [cx(0, 1), x(1)], 2),
+                                    (ops[:4], [x(1)], 1), (ops, [], 0)):
+        circuit = Circuit(2, prologue, block=block, copies=copies)
+        assert circuit.ops == ops
+        assert len(circuit) == len(ops)
+    # ops is built on each read: changing it does not reach the circuit
+    circuit.ops.append(x(0))
+    assert len(circuit) == len(circuit.ops) == len(ops)
+    assert Circuit(2, [h(0)], block=[x(1)], copies=0).block == []  # run no times
     with pytest.raises(ValueError):
-        Circuit(2, [h(0), x(1), x(1)], repeat=(1, 3))  # h(0) != x(1)
+        Circuit(2, [h(0)], block=[x(1)], copies=-1)
     with pytest.raises(ValueError):
-        Circuit(2, [h(0)] + [x(2)] * 3, repeat=(1, 3))  # block out of range
+        Circuit(2, [h(0)], block=[x(2)], copies=3)  # block out of range
 
 
 def test_repeat_is_not_part_of_equality():
     ops = [h(0)] + [cx(0, 1)] * 3
-    assert Circuit(2, ops, repeat=(1, 3)) == Circuit(2, list(ops))
+    assert Circuit(2, [h(0)], block=[cx(0, 1)], copies=3) == Circuit(2, list(ops))
+    assert Circuit(2, [h(0)], block=[cx(0, 1)], copies=2) != Circuit(2, list(ops))
 
 
 def test_append_clears_repeat_and_metrics_stay_right():
-    circuit = Circuit(3, [h(0)] + [cx(0, 1), ccx(0, 1, 2)] * 4, repeat=(2, 4))
+    circuit = Circuit(3, [h(0)], block=[cx(0, 1), ccx(0, 1, 2)], copies=4)
     assert depth(circuit) == 9
     circuit.append(h(2))
-    assert circuit.repeat == (0, 0)
+    assert (circuit.block, circuit.copies) == ([], 0)
     assert depth(circuit) == reference_depth(circuit) == 10
     assert gate_counts(circuit) == {"h": 2, "x": 0, "z": 0, "cx": 4, "ccx": 4,
                                     "mcx": 0, "total": 10}
     circuit.extend([x(0)])
-    assert circuit.repeat == (0, 0)
+    assert (circuit.block, circuit.copies) == ([], 0)
     assert serialize(circuit).endswith("h 2\nx 0\n")
 
 
 def test_inverse_and_compose_of_a_repeated_circuit_are_flat():
-    rounds = Circuit(5, [h(0), x(4)] + [mcx((0, 1, 2), 3), cx(3, 4), h(1)] * 6,
-                     repeat=(3, 6))
+    rounds = Circuit(5, [h(0), x(4)], block=[mcx((0, 1, 2), 3), cx(3, 4), h(1)], copies=6)
     for derived in (inverse(rounds), compose(rounds, Circuit(5, [z(2)])),
                     compose(Circuit(5, [z(2)]), rounds)):
-        assert derived.repeat == (0, 0)
+        assert derived.copies == 0
         assert depth(derived) == reference_depth(derived)
         assert gate_counts(derived)["mcx"] == 6
     assert depth(inverse(rounds)) == depth(rounds)
@@ -277,11 +267,14 @@ def test_inverse_and_compose_of_a_repeated_circuit_are_flat():
 
 
 def test_decompose_keeps_the_repeat_of_the_expanded_block():
-    rounds = Circuit(6, [h(0)] + [mcx((0, 1, 2, 3), 4), x(5)] * 3, repeat=(2, 3))
+    rounds = Circuit(6, [h(0)], block=[mcx((0, 1, 2, 3), 4), x(5)], copies=3)
     expanded = decompose_mcx(rounds)
-    assert expanded.repeat == (6, 3)
-    assert expanded.ops == decompose_mcx(flat(rounds)).ops
-    assert expanded.width == 8
+    assert (len(expanded.block), expanded.copies) == (6, 3)
+    flat_expanded = decompose_mcx(flat(rounds))
+    assert expanded.ops == flat_expanded.ops
+    assert expanded.width == flat_expanded.width == 8
+    # one V-chain per distinct MCX: every copy's chain is the same op objects
+    assert all(a is b for a, b in zip(flat_expanded.ops[1:6], flat_expanded.ops[7:12]))
 
 
 # fewest controls each kind takes
@@ -307,26 +300,22 @@ def repeated_circuits(draw):
     block = draw(st.lists(gate_ops(span), max_size=6))
     copies = draw(st.integers(0, 300))
     labels = {"in": (0, 1)} if draw(st.booleans()) else {}
-    return Circuit(width, prologue + block * copies, labels, (len(block), copies))
+    return Circuit(width, prologue, labels, block, copies)
 
 
-def _decomposed(circuit, ancillas):
-    try:
-        out = decompose_mcx(circuit, ancillas)
-    except ValueError as exc:
-        return str(exc)
-    return out.width, out.ops, depth(out), gate_counts(out), serialize(out)
+def _decomposed(circuit):
+    out = decompose_mcx(circuit)
+    return out.width, out.ops, len(out), depth(out), gate_counts(out), serialize(out)
 
 
-@given(repeated_circuits(), st.none() | st.sets(st.integers(0, 6), max_size=4))
-def test_repeated_circuit_metrics_match_the_flat_op_list(circuit, pool):
+@given(repeated_circuits())
+def test_repeated_circuit_metrics_match_the_flat_op_list(circuit):
     plain = flat(circuit)
+    assert len(circuit) == len(plain)
     assert depth(circuit) == depth(plain) == reference_depth(plain)
     assert gate_counts(circuit) == gate_counts(plain)
     assert serialize(circuit) == serialize(plain)
-    if pool is not None:
-        pool = sorted(q for q in pool if q < circuit.width)
-    assert _decomposed(circuit, pool) == _decomposed(plain, pool)
+    assert _decomposed(circuit) == _decomposed(plain)
 
 
 @given(repeated_circuits())

@@ -108,7 +108,7 @@ def test_grover_plan_invariants():
 
 
 def minus_state_circuit(width, ancilla):
-    return Circuit(width, ops=[x(ancilla), h(ancilla)])
+    return Circuit(width, [x(ancilla), h(ancilla)])
 
 
 def test_build_query_gate_pattern():
@@ -215,7 +215,7 @@ def test_diffuser_structure():
 
 def test_diffuser_fixes_uniform_superposition():
     width = 4  # 3 inputs + flag
-    prep = Circuit(width, ops=[h(0), h(1), h(2), x(3), h(3)])
+    prep = Circuit(width, [h(0), h(1), h(2), x(3), h(3)])
     state = zero_state(width)
     run_circuit(state, prep)
     reference = zero_state(width)
@@ -232,10 +232,10 @@ def test_two_qubit_single_round_grover_is_exact():
     # textbook exact case: 4 states, 1 marked, one round succeeds with
     # certainty; marked state |10> via an X-sandwiched mcx kickback
     width = 3
-    mark = Circuit(width, ops=[x(0), mcx((0, 1), 2), x(0)])
+    mark = Circuit(width, [x(0), mcx((0, 1), 2), x(0)])
     diffuser = build_diffuser((0, 1), 2, width=width)
     state = zero_state(width)
-    run_circuit(state, Circuit(width, ops=[h(0), h(1), x(2), h(2)]))
+    run_circuit(state, Circuit(width, [h(0), h(1), x(2), h(2)]))
     run_circuit(state, compose(mark, diffuser))
     probs = np.abs(state.amplitudes) ** 2
     p_marked = probs[0b010] + probs[0b110]  # flag qubit either way

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from qobf.obfuscator import (
     ObfuscationPlan,
     build_full_circuit,
     _registers,
+    _solution_mass,
     decode,
     plan,
     run,
@@ -144,13 +146,33 @@ def test_full_circuit_equals_the_round_by_round_build(target):
     built = build_full_circuit(case)
     reference = reference_full_circuit(case)
     assert built.ops == reference.ops
-    assert built.repeat[1] == case.iterations
-    assert reference.repeat == (0, 0)  # appending leaves it flat
+    assert built.copies == case.iterations
+    assert reference.copies == 0  # appending leaves it flat
     assert gate_counts(built) == gate_counts(reference)
     assert depth(built) == reference_depth(reference)
     expanded, flat_expanded = decompose_mcx(built), decompose_mcx(reference)
     assert expanded.ops == flat_expanded.ops
     assert depth(expanded) == reference_depth(flat_expanded)
+
+
+def test_building_and_measuring_the_rounds_lays_out_no_flat_op_list():
+    # N=757 runs 480 rounds. A flat list of even the unexpanded ops would
+    # take 8 bytes a pointer; the build, the expansion and the metrics stay
+    # below that
+    tracemalloc.start()
+    try:
+        built = build_full_circuit(plan(757))
+        expanded = decompose_mcx(built)
+        for circuit in (built, expanded):
+            gate_counts(circuit)
+            depth(circuit)
+        ops = len(built)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built.copies == 480
+    assert len(expanded) > ops > 10**5
+    assert peak < 8 * ops
 
 
 def test_zero_iteration_plan_builds_bare_initialization():
@@ -229,6 +251,42 @@ def test_run_smallest_case_favors_the_single_triplet():
     assert histogram.exact_success == pytest.approx(
         case.theoretical_success, abs=1e-9
     )
+
+
+def masked_solution_mass(case, marginal):
+    """The marginal summed through a mask over every outcome."""
+    xs, ys, zs = _registers(np.arange(marginal.size), case.bits)
+    return float(marginal[xs + ys + zs == case.target].sum())
+
+
+def test_solution_mass_sums_the_masked_entries_in_order():
+    # random entries summing to under 1/2, so no clamp hides a difference;
+    # only the same entries in the same order give the same bits every time
+    rng = np.random.default_rng(17)
+    for bits in (1, 2, 3, 4):
+        for target in range(1, 3 * (2**bits - 1) + 1):
+            case = plan(target, bits)
+            marginal = rng.random(case.space_size) / (2 * case.space_size)
+            assert _solution_mass(case, marginal) == masked_solution_mass(case, marginal)
+
+
+def test_solution_mass_holds_only_solution_sized_arrays():
+    # N=255 has 2^21 outcomes. Summing the marginal through a mask over all
+    # of them, built from index arrays, takes tens of MiB; the solution
+    # indices, their pieces and the gathered entries take 8 bytes each
+    case = plan(255)
+    assert case.bits == 7
+    marginal = np.random.default_rng(3).random(case.space_size)
+    marginal /= marginal.sum()
+    expected = masked_solution_mass(case, marginal)
+    tracemalloc.start()
+    try:
+        got = _solution_mass(case, marginal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected  # the same entries summed in the same order
+    assert peak <= 3 * 8 * case.solution_count + 2**16
 
 
 def test_run_is_deterministic():

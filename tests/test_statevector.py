@@ -14,6 +14,7 @@ from qobf.statevector import (
     BUTTERFLY_CHUNK,
     SAMPLE_CHUNK,
     Histogram,
+    StateVector,
     apply_gate,
     basis_state,
     fidelity,
@@ -331,6 +332,64 @@ def test_dense_layers_at_full_width_equal_gate_by_gate_reference(width, shape):
         assert same_bits(amplitudes, expected)
 
 
+def repeated_from(ops, width, rng):
+    """A prologue and a block cut from ``ops``, each ending in an X-family gate.
+
+    The block also starts with one, so permutation runs cross the seam
+    after the prologue and the seam between copies. A block with no H
+    or Z in it makes a single run of every copy.
+    """
+    perm = [i for i, op in enumerate(ops) if op.kind not in ("h", "z")]
+    end, start, last = sorted(int(i) for i in rng.choice(perm, size=3, replace=False))
+    return Circuit(width, ops[:end + 1], block=ops[start:last + 1],
+                   copies=int(rng.integers(0, 6)))
+
+
+def outcome(state, circuit):
+    """run_circuit on a copy of ``state``: its message if it refuses, else its amplitudes."""
+    copy = StateVector(state.width, state.amplitudes.copy(), state.stored, state.minus)
+    try:
+        run_circuit(copy, circuit)
+    except ValueError as exc:
+        assert same_bits(copy.amplitudes, state.amplitudes)  # refused before any gate
+        return str(exc)
+    return copy.amplitudes.view(np.uint64).tolist()
+
+
+# 17 qubits: a dense state of two gather blocks
+@pytest.mark.parametrize("width", [*range(3, 10), 17])
+def test_repeated_circuit_runs_as_its_flat_op_list(width):
+    # Dense states take any circuit; the compact ones hold the top qubit in
+    # |->. The narrow one also leaves qubit width-2 unstored: a run that sets
+    # it before a seam and clears it after must be applied whole, and a run
+    # that leaves it set is refused. Some amplitudes start as signed zeros.
+    rng = np.random.default_rng(width)
+    refused = 0
+    for seed in range(8):
+        amplitudes = random_state(width, seed)
+        amplitudes[rng.random(amplitudes.size) < 0.3] = -0.0
+        dense = StateVector(width, amplitudes)
+        kicked = zero_state(width, stored=width - 1, minus=width - 1)
+        kicked.amplitudes[:] = amplitudes[:kicked.amplitudes.size] * np.sqrt(0.5)
+        narrow = zero_state(width, stored=width - 2, minus=width - 1)
+        narrow.amplitudes[:] = kicked.amplitudes[:narrow.amplitudes.size]
+        mixed = random_mixed_circuit(width, seed=10 * width + seed).ops
+        kickback = random_kickback_circuit(width, seed=10 * width + seed).ops
+        # qubit width-2 as a work qubit: each gate on it is computed, kicks
+        # the top qubit and is uncomputed; a cut between the two leaves it set
+        work = []
+        for op in random_kickback_circuit(width - 1, seed=10 * width + seed).ops:
+            work += [op, cx(width - 2, width - 1), op] if op.target == width - 2 else [op]
+        for state, ops in ((dense, mixed), (kicked, kickback), (narrow, work)):
+            repeated = repeated_from(ops, width, rng)
+            result = outcome(state, repeated)
+            assert result == outcome(state, Circuit(width, repeated.ops))
+            if isinstance(result, str):
+                assert state is narrow
+                refused += 1
+    assert 0 < refused < 8  # the narrow state both refuses and runs
+
+
 def traced_peak(state, circuit):
     """Peak bytes allocated while run_circuit runs, the state not counted."""
     tracemalloc.start()
@@ -372,9 +431,8 @@ def test_run_circuit_memory_stays_within_budget():
     # cols) views buffer up to np.getbufsize() amplitudes of each of their
     # three operands. The runs compile before the buffer exists, so they
     # stay below that.
-    prologue, block, copies = circuit.parts()
-    body = Circuit(circuit.width, prologue[:-2] + block * copies, circuit.labels,
-                   circuit.repeat)
+    body = Circuit(circuit.width, circuit.prologue[:-2], circuit.labels, circuit.block,
+                   circuit.copies)
     runs = permutation_runs(body)
     assert len(runs) == 2
     kicked = zero_state(circuit.width, stored=12, minus=circuit.width - 1)
@@ -402,7 +460,7 @@ def test_gate_on_out_of_range_qubit_rejected():
         apply_gate(state, x(2))
     for bad in (cx(0, 2), cx(2, 0), h(2)):
         circuit = Circuit(2)
-        circuit.ops.append(bad)  # past the check Circuit.append makes
+        circuit.prologue.append(bad)  # past the check Circuit.append makes
         with pytest.raises(ValueError, match="state width 2"):
             run_circuit(state, circuit)
 
@@ -516,7 +574,7 @@ def test_marginal_rejects_bad_subsets():
 
 def test_sample_deterministic_and_consistent():
     state = zero_state(3)
-    run_circuit(state, Circuit(3, ops=[h(0), h(2)]))
+    run_circuit(state, Circuit(3, [h(0), h(2)]))
     first = sample(state, (0, 1, 2), shots=500, seed=42)
     second = sample(state, (0, 1, 2), shots=500, seed=42)
     assert first == second
