@@ -267,12 +267,17 @@ def _op_line(op: GateOp) -> str:
 
 
 def serialize(circuit: Circuit) -> str:
-    """Render the textual format. Little-endian indices, ASCII, \\n endings."""
+    """Render the textual format. Little-endian indices, ASCII, \\n endings.
+
+    The block's text is rendered once and repeated by reference, so the
+    whole text is laid out only once.
+    """
     lines = [f"width {circuit.width}\n"]
     for name, indices in circuit.labels.items():
         lines.append("label " + name + " " + " ".join(str(q) for q in indices) + "\n")
     lines.extend(map(_op_line, circuit.prologue))
-    return "".join(lines) + "".join(map(_op_line, circuit.block)) * circuit.copies
+    lines += ["".join(map(_op_line, circuit.block))] * circuit.copies
+    return "".join(lines)
 
 
 def _parse_int(token: str, line_number: int) -> int:

@@ -4,8 +4,8 @@ Subcommands: obfuscate (run the pipeline and print a decoded histogram),
 bench (benchmark table as CSV), count (solution counting), inspect
 (circuit metrics for one target), export (circuit text format).
 
-Exit codes: 0 success, 2 constraint violation, 3 resource limit,
-4 file I/O failure. Error messages go to standard error.
+Exit codes: 0 success, 2 constraint violation, 3 resource limit or
+out of memory, 4 file I/O failure. Error messages go to standard error.
 """
 
 from __future__ import annotations
@@ -254,6 +254,10 @@ def main(argv=None) -> int:
         return 2
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory (QOBF_MAX_QUBITS caps the circuit width)",
+              file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ConstraintError -> 2,
-ResourceLimitError -> 3, file I/O errors -> 4.
+ResourceLimitError and MemoryError -> 3, file I/O errors -> 4.
 """
 
 

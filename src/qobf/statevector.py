@@ -22,22 +22,24 @@ would need amplitudes the compact state does not hold.
 X, CX, CCX and MCX permute basis states, so ``run_circuit`` splits the
 op list into maximal runs of them and applies each run as one gather
 through a precomputed index array, built by pushing packed bit planes
-through the run's gates. Only the prologue and one copy of the block
-(a Grover round) are split into runs, each compiled once per call
-before the first gate is applied. H and Z are applied gate by gate on
-a (hi, 2, lo) view that splits the target's bit; H goes through it in
-pieces of BUTTERFLY_CHUNK amplitudes with one reused temporary, so
-each piece stays in cache. Every stored amplitude comes out bit for
-bit as gate-by-gate application on the dense state would leave it:
-the gathers only move values, the H butterfly does each amplitude's
-arithmetic in one fixed order, and a run that flips the ``minus``
-qubit negates what it brings over from the implied half as 0 - a,
-which leaves a zero +0 as the dense run's (0 - v)/sqrt(2) does. Gate
-fusion and leaving out qubits that carry no information follow Haener
-& Steiger, arXiv:1704.01127.
+through the run's gates. A block (a Grover round) is cut at its first
+H or Z into a head and a tail; only ``prologue + head``, ``tail +
+head`` (applied copies - 1 times) and ``tail`` are split into runs,
+each run compiled once per call before the first gate is applied. H
+and Z are applied gate by gate on a (hi, 2, lo) view that splits the
+target's bit; H goes through it in pieces of BUTTERFLY_CHUNK
+amplitudes with one reused temporary, so each piece stays in cache.
+Every stored amplitude comes out bit for bit as gate-by-gate
+application on the dense state would leave it: the gathers only move
+values, the H butterfly does each amplitude's arithmetic in one fixed
+order, and a run that flips the ``minus`` qubit negates what it brings
+over from the implied half as 0 - a, which leaves a zero +0 as the
+dense run's (0 - v)/sqrt(2) does. Gate fusion and leaving out qubits
+that carry no information follow Haener & Steiger, arXiv:1704.01127.
 
-Measurement is terminal sampling only. Sampling draws shots by inverse
-CDF over the marginal distribution of the requested qubits, with
+Measurement is terminal sampling only. The marginal is read over a
+prefix of the stored qubits, 0..m-1, which for the pipeline are its
+3n inputs. Sampling draws shots by inverse CDF over it, with
 uniforms from PCG64 (O'Neill's permuted congruential generator,
 XSL-RR 128/64 variant, as shipped by numpy and seeded through numpy's
 SeedSequence). The uniforms are drawn in fixed chunks, sorted and
@@ -48,7 +50,8 @@ platform.
 
 Widths above ``max_qubits()`` (default 26, about 1 GiB of dense
 amplitudes) are refused; the cap is compared with the full width, not
-the stored one. Set QOBF_MAX_QUBITS to go bigger.
+the stored one. Set QOBF_MAX_QUBITS to go bigger; a stored state that
+numpy then cannot allocate is refused with a ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -150,7 +153,9 @@ def zero_state(width: int, stored: int | None = None,
 
     With ``minus``, that qubit (at or above ``stored``) starts in |->
     instead, as X then H leave it: the stored amplitude of |0...0> is
-    1/sqrt(2). The cap applies to ``width`` whatever is stored.
+    1/sqrt(2). The cap applies to ``width`` whatever is stored; a
+    stored state that numpy refuses to allocate raises a
+    ResourceLimitError naming its bytes.
     """
     check_width(width)
     stored = width if stored is None else stored
@@ -158,19 +163,16 @@ def zero_state(width: int, stored: int | None = None,
         raise ValueError(f"stored qubit count {stored} must be in 0..{width}")
     if minus is not None and not stored <= minus < width:
         raise ValueError(f"minus qubit {minus} must be unstored and below width {width}")
-    amplitudes = np.zeros(2**stored, dtype=np.complex128)
+    try:
+        amplitudes = np.zeros(2**stored, dtype=np.complex128)
+    except (ValueError, MemoryError):
+        raise ResourceLimitError(
+            f"width {width} stores {stored} qubits: {16 * 2**stored} bytes of amplitudes, "
+            f"more than numpy can allocate (QOBF_MAX_QUBITS={max_qubits()} lets that "
+            f"width past the qubit cap)"
+        ) from None
     amplitudes[0] = 1.0 if minus is None else _INV_SQRT2
     return StateVector(width, amplitudes, stored, minus)
-
-
-def basis_state(width: int, index: int) -> StateVector:
-    """Computational-basis state |index>."""
-    state = zero_state(width)
-    if not 0 <= index < 2**width:
-        raise ConstraintError(f"basis index {index} out of range for width {width}")
-    state.amplitudes[0] = 0.0
-    state.amplitudes[index] = 1.0
-    return state
 
 
 _PERMUTATION_KINDS = frozenset({"x", "cx", "ccx", "mcx"})
@@ -367,54 +369,32 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     return state
 
 
-def _check_subset(state: StateVector, qubits) -> list[int]:
-    qubits = list(qubits)
-    if not qubits:
-        raise ValueError("qubit subset must not be empty")
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"duplicate qubit indices: {qubits}")
-    for q in qubits:
-        if not 0 <= q < state.width:
-            raise ValueError(f"qubit {q} out of range for width {state.width}")
-    return qubits
-
-
 def marginal_probabilities(state: StateVector, qubits) -> np.ndarray:
-    """Marginal over the listed qubits as a length-2^m array.
+    """Marginal over the low stored qubits ``0..m-1`` as a length-2^m array.
 
-    Bit k of the returned array's index is the value of ``qubits[k]``.
-    It is read straight from the stored amplitudes; a qubit the state
-    does not store is 0 in every outcome. The ``minus`` qubit's two
-    outcomes each get the stored probability; when it is not listed,
-    the stored marginal is doubled, which is exact.
+    ``qubits`` must be exactly ``0, 1, ..., m-1`` in that order, with
+    1 <= m <= ``state.stored``; anything else raises a ValueError that
+    names it. Bit k of the returned array's index is qubit k. With m
+    equal to ``stored`` it is |a|^2 of the stored amplitudes itself;
+    below that, the sum over the high stored qubits. Every unstored
+    qubit is 0 in every outcome, except the ``minus`` qubit, whose two
+    outcomes carry the same probability, so the marginal is doubled,
+    which is exact.
     """
-    qubits = _check_subset(state, qubits)
-    bits = state.stored
-    kept = [q for q in qubits if q < bits]
+    qubits = list(qubits)
+    m = len(qubits)
+    if not 1 <= m <= state.stored or qubits != list(range(m)):
+        raise ValueError(
+            f"the marginal reads the low stored qubits 0..m-1 in order with "
+            f"1 <= m <= {state.stored}, got qubits {qubits}"
+        )
     probs = state.amplitudes.real**2 + state.amplitudes.imag**2
-    tensor = probs.reshape((2,) * bits)
-    keep = {bits - 1 - q for q in kept}
-    drop = tuple(ax for ax in range(bits) if ax not in keep)
-    if drop:
-        tensor = tensor.sum(axis=drop)
-    remaining = sorted(keep)
-    desired = [bits - 1 - q for q in reversed(kept)]
-    tensor = tensor.transpose([remaining.index(ax) for ax in desired])
-    # probs is this call's own array, so the marginal may be scaled in place
-    marginal = np.ascontiguousarray(tensor).reshape(-1)
-    if state.minus is not None and state.minus not in qubits:
-        marginal *= 2.0
-    if len(kept) == len(qubits):
-        return marginal
-    # outcome k of the stored marginal, with the unstored qubits' bits 0
-    outcome = np.zeros(marginal.size, dtype=np.int64)
-    for j, q in enumerate(kept):
-        outcome |= ((np.arange(marginal.size) >> j) & 1) << qubits.index(q)
-    full = np.zeros(2 ** len(qubits))
-    full[outcome] = marginal
-    if state.minus in qubits:
-        full[outcome | 1 << qubits.index(state.minus)] = marginal
-    return full
+    if m < state.stored:
+        probs = probs.reshape(-1, 2**m).sum(axis=0)
+    # probs is this call's own array, so it may be scaled in place
+    if state.minus is not None:
+        probs *= 2.0
+    return probs
 
 
 def check_sampling(shots: int, seed: int):
@@ -459,12 +439,3 @@ def sample(state: StateVector, qubits, shots: int, seed: int) -> Histogram:
     }
     return Histogram(m, entries, shots)
 
-
-def fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2."""
-    if a.width != b.width or a.stored != b.stored or a.minus != b.minus:
-        raise ValueError("state widths or stored qubits differ")
-    overlap = np.vdot(a.amplitudes, b.amplitudes)
-    if a.minus is not None:
-        overlap *= 2.0
-    return float(abs(overlap) ** 2)

@@ -22,9 +22,10 @@ from qobf.arithmetic import build_triple_sum
 from qobf.circuit import compose, decompose_mcx, depth, gate_counts, inverse, parse, serialize
 from qobf.grover import build_oracle, count_solutions, theoretical_success
 from qobf.obfuscator import build_full_circuit, plan, run, simulate, solution_probability
-from qobf.statevector import apply_gate, fidelity, marginal_probabilities, run_circuit, zero_state
+from qobf.statevector import apply_gate, marginal_probabilities, run_circuit, zero_state
 from qobf.circuit import h as h_gate
 from qobf.circuit import x as x_gate
+from states import fidelity
 from test_obfuscator import input_register_model
 from test_statevector import same_bits, scattered
 

@@ -18,7 +18,8 @@ from qobf.arithmetic import (
     uma,
 )
 from qobf.circuit import Circuit, gate_counts, inverse
-from qobf.statevector import basis_state, run_circuit
+from qobf.statevector import run_circuit
+from states import basis_state
 
 
 def final_basis_index(circuit, start_index):

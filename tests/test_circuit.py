@@ -1,6 +1,7 @@
 """Circuit representation: construction, metrics, MCX expansion, text format."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from qobf.circuit import (
     z,
 )
 from qobf.errors import CircuitParseError
+from qobf.obfuscator import build_full_circuit, plan
 from qobf.statevector import run_circuit, zero_state
 
 
@@ -156,6 +158,20 @@ def test_serialize_parse_round_trip_with_labels():
     )
     again = parse(serialize(circuit))
     assert again == circuit
+
+
+def test_serialize_lays_out_the_text_once():
+    # N=765 repeats a block of 2,502 bytes 3,217 times. Beside the 8 MB
+    # result, serialize holds one block's text and a list of references.
+    circuit = build_full_circuit(plan(765))
+    tracemalloc.start()
+    try:
+        text = serialize(circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= len(text) + 2**16
+    assert text == serialize(Circuit(circuit.width, circuit.ops, circuit.labels))
 
 
 def test_parse_accepts_comments_and_blank_lines():

@@ -190,6 +190,28 @@ def test_registers_too_wide_to_plan_exit_2_naming_the_limit(capsys, argv):
     assert f"--bits {MAX_PLAN_BITS}" in err
 
 
+def test_a_raised_qubit_cap_exits_3_when_the_state_cannot_be_allocated(capsys, monkeypatch):
+    # width 65 stores 60 qubits, 2^64 bytes, which numpy refuses to size
+    monkeypatch.setenv("QOBF_MAX_QUBITS", "70")
+    code, out, err = invoke(capsys, "obfuscate", "--n-value", "1572862", "--bits", "20")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: width 65 stores 60 qubits")
+    assert "QOBF_MAX_QUBITS=70" in err
+
+
+def test_running_out_of_memory_exits_3(capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.obfuscator, "sample_counts", out_of_memory)
+    code, out, err = invoke(capsys, "obfuscate", "--n-value", "7")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: out of memory")
+    assert "QOBF_MAX_QUBITS" in err
+
+
 def test_bench_heavy_checks_the_qubit_cap_before_any_simulation(capsys, monkeypatch):
     # the cap refuses N=765 (29 qubits) before N=127 (23) is simulated
     monkeypatch.delenv("QOBF_MAX_QUBITS", raising=False)

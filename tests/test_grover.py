@@ -19,7 +19,8 @@ from qobf.grover import (
     theoretical_success,
 )
 from qobf.obfuscator import ObfuscationPlan, plan
-from qobf.statevector import apply_gate, fidelity, run_circuit, zero_state
+from qobf.statevector import apply_gate, run_circuit, zero_state
+from states import fidelity
 
 # benchmark-table anchor values: (target, bits, iterations, solutions)
 TABLE_ROWS = [

@@ -1,6 +1,7 @@
 """Gate kernels checked against dense matrices and a gate-by-gate reference kernel."""
 
 import math
+import re
 import tracemalloc
 from itertools import groupby
 
@@ -16,8 +17,6 @@ from qobf.statevector import (
     Histogram,
     StateVector,
     apply_gate,
-    basis_state,
-    fidelity,
     marginal_probabilities,
     max_qubits,
     run_circuit,
@@ -25,6 +24,7 @@ from qobf.statevector import (
     sample_counts,
     zero_state,
 )
+from states import basis_state, fidelity
 
 H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 X_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -238,6 +238,11 @@ def test_pipeline_circuit_equals_gate_by_gate_reference(target):
     assert compact.minus == circuit.width - 1
     assert same_bits(compact.amplitudes, expected[:compact.amplitudes.size])
     assert same_bits(scattered(compact), expected)
+    # the dense input marginal sums the rows of the work qubits and the phase
+    # ancilla; the only non-zero one beside the first is the ancilla's, p + p
+    inputs = plan(target).input_qubits
+    assert same_bits(marginal_probabilities(state, inputs),
+                     marginal_probabilities(compact, inputs))
 
 
 def test_compact_state_refuses_to_leave_an_unstored_qubit_set():
@@ -539,37 +544,52 @@ def test_width_cap_enforced(monkeypatch):
     assert max_qubits() == 26
 
 
+def test_a_state_numpy_cannot_allocate_names_its_bytes_and_the_cap(monkeypatch):
+    # 2^60 amplitudes are 2^64 bytes, past what numpy will size an array at,
+    # so it refuses before asking the OS for anything
+    monkeypatch.setenv("QOBF_MAX_QUBITS", "70")
+    with pytest.raises(ResourceLimitError, match=rf"{16 * 2**60} bytes.*QOBF_MAX_QUBITS=70"):
+        zero_state(65, stored=60)
+
+    def refuse(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    with pytest.raises(ResourceLimitError, match=r"stores 3 qubits: 128 bytes.*QOBF_MAX_QUBITS"):
+        zero_state(4, stored=3)
+
+
 def test_marginal_probabilities_against_bit_loop():
     width = 4
     dense = zero_state(width)
     dense.amplitudes[:] = random_state(width, seed=77)
-    # qubits 2 and 3 not stored: outcomes with either of them set have probability 0
+    # qubits 2 and 3 not stored: they are 0 in every basis state
     compact = zero_state(width, stored=2)
     compact.amplitudes[:] = random_state(2, seed=78)
-    # qubit 3 in |->: both of its outcomes carry the stored probability
+    # qubit 3 in |->: the marginal sums both of its halves
     kicked = zero_state(width, stored=2, minus=3)
     kicked.amplitudes[:] = random_state(2, seed=79) * np.sqrt(0.5)
     for state in (dense, compact, kicked):
         probs = np.abs(scattered(state)) ** 2
-        for qubits in [(0,), (3,), (1, 2), (2, 0, 3), (3, 2, 1, 0), (0, 1, 2, 3)]:
-            expected = np.zeros(2 ** len(qubits))
+        for size in range(1, state.stored + 1):
+            qubits = range(size)
+            expected = np.zeros(2**size)
             for i in range(2 ** width):
-                m = 0
-                for k, q in enumerate(qubits):
-                    m |= ((i >> q) & 1) << k
-                expected[m] += probs[i]
+                expected[i % 2**size] += probs[i]
             got = marginal_probabilities(state, qubits)
             np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 def test_marginal_rejects_bad_subsets():
-    state = zero_state(3)
-    with pytest.raises(ValueError):
-        marginal_probabilities(state, (0, 0))
-    with pytest.raises(ValueError):
-        marginal_probabilities(state, (3,))
-    with pytest.raises(ValueError):
-        marginal_probabilities(state, ())
+    # only the low stored qubits 0..m-1, in order, with 1 <= m <= stored
+    dense = zero_state(3)
+    compact = zero_state(3, stored=2)
+    kicked = zero_state(3, stored=2, minus=2)
+    cases = [(dense, (0, 0)), (dense, (3,)), (dense, ()), (dense, (1, 0)), (dense, (1,)),
+             (dense, (0, 1, 2, 3)), (compact, (0, 1, 2)), (kicked, (0, 1, 2)), (kicked, (2,))]
+    for state, qubits in cases:
+        with pytest.raises(ValueError, match=re.escape(f"got qubits {list(qubits)}")):
+            marginal_probabilities(state, qubits)
 
 
 def test_sample_deterministic_and_consistent():
