@@ -109,14 +109,12 @@ def build_half_adder(n: int, layout: AdderLayout, width: int | None = None) -> C
         raise ValueError(f"n={n} does not match layout operand length {len(layout.a_qubits)}")
     if width is None:
         width = max(layout.a_qubits + layout.b_qubits + (layout.ancilla, layout.carry_out)) + 1
-    carries = (layout.ancilla,) + layout.a_qubits[:-1]
-    circuit = Circuit(width)
-    for i in range(n):
-        circuit.extend(maj(carries[i], layout.b_qubits[i], layout.a_qubits[i]))
-    circuit.append(cx(layout.a_qubits[-1], layout.carry_out))
-    for i in reversed(range(n)):
-        circuit.extend(uma(carries[i], layout.b_qubits[i], layout.a_qubits[i]))
-    return circuit
+    columns = list(zip((layout.ancilla,) + layout.a_qubits[:-1], layout.b_qubits,
+                       layout.a_qubits))
+    ops = [op for column in columns for op in maj(*column)]
+    ops.append(cx(layout.a_qubits[-1], layout.carry_out))
+    ops += [op for column in reversed(columns) for op in uma(*column)]
+    return Circuit(width, ops)
 
 
 def triple_sum_layout(n: int) -> SumLayout:

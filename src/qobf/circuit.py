@@ -4,11 +4,11 @@ The gate set is exactly what the obfuscation pipeline needs: H, X, Z,
 CX, CCX and MCX (3+ controls). Every gate in the set is self-inverse,
 so inverting a circuit is reversing its op list.
 
-Circuits are treated as immutable once built; builders append, everyone
-else reads. A circuit is a ``prologue`` then ``copies`` of one
-``block`` (a Grover circuit is a prologue plus R identical rounds; a
-flat one is all prologue), and ``ops``, the flat op list, is built on
-each read. Counts, MCX expansion and serialization do the per-op work
+Circuits are treated as immutable once built; builders hand over whole
+op lists, everyone else reads. A circuit is a ``prologue`` then
+``copies`` of one ``block`` (a Grover circuit is a prologue plus R
+identical rounds; a flat one is all prologue), and ``ops``, the flat
+op list, is built on each read. Counts, MCX expansion and serialization do the per-op work
 on the prologue and one block only, and depth walks copies of the
 block only until one copy lifts every qubit it touches by the same
 amount. The textual format
@@ -33,7 +33,12 @@ _ARITY = {"h": 0, "x": 0, "z": 0, "cx": 1, "ccx": 2}
 
 @dataclass(frozen=True)
 class GateOp:
-    """One gate application. Controls are kept sorted (canonical form)."""
+    """One gate application. Controls are kept sorted (canonical form).
+
+    The touched indices, controls then target, are stored once as a
+    plain attribute (not a field), so equality, hash and repr see only
+    the three fields.
+    """
 
     kind: str
     controls: tuple[int, ...]
@@ -50,7 +55,8 @@ class GateOp:
             )
         if self.kind == "mcx" and len(self.controls) < 3:
             raise ValueError("mcx needs at least 3 controls; use cx/ccx below that")
-        indices = self.qubits()
+        indices = self.controls + (self.target,)
+        object.__setattr__(self, "_qubits", indices)
         if len(set(indices)) != len(indices):
             raise ValueError(f"gate indices must be distinct: {indices}")
         if any(q < 0 for q in indices):
@@ -58,7 +64,7 @@ class GateOp:
 
     def qubits(self) -> tuple[int, ...]:
         """All indices the gate touches, controls first."""
-        return self.controls + (self.target,)
+        return self._qubits
 
 
 def h(target: int) -> GateOp:
@@ -115,8 +121,10 @@ class Circuit:
             raise ValueError(f"copies must be >= 0, got {self.copies}")
         if not self.copies:
             self.block = []  # no op of a block run zero times is in the circuit
-        for op in self.prologue + self.block:
-            self._check_op(op)
+        ops = self.prologue + self.block
+        if ops and max(map(max, map(GateOp.qubits, ops))) >= self.width:
+            for op in ops:  # only to name the first offending gate
+                self._check_op(op)
         self.labels = {name: tuple(idx) for name, idx in self.labels.items()}
         self._check_labels()
 
@@ -180,7 +188,7 @@ def _layer(level: list[int], ops: list[GateOp]):
     """Place ``ops`` greedily on top of the per-qubit ``level`` list, in place."""
     for op in ops:
         qs = op.qubits()
-        layer = 1 + max(level[q] for q in qs)
+        layer = 1 + max(map(level.__getitem__, qs))
         for q in qs:
             level[q] = layer
 

@@ -11,6 +11,7 @@ out of memory, 4 file I/O failure. Error messages go to standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -191,6 +192,7 @@ def cmd_export(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qobf",

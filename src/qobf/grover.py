@@ -105,14 +105,8 @@ def build_query(sum_layout: SumLayout, target: int, grover_ancilla: int,
         raise ValueError("grover ancilla collides with the sum register")
     if width is None:
         width = max(max(sum_qubits), grover_ancilla) + 1
-    circuit = Circuit(width)
-    flips = [q for i, q in enumerate(sum_qubits) if not (target >> i) & 1]
-    for q in flips:
-        circuit.append(x(q))
-    circuit.append(mcx(sum_qubits, grover_ancilla))
-    for q in reversed(flips):
-        circuit.append(x(q))
-    return circuit
+    flips = [x(q) for i, q in enumerate(sum_qubits) if not (target >> i) & 1]
+    return Circuit(width, flips + [mcx(sum_qubits, grover_ancilla)] + flips[::-1])
 
 
 def build_oracle(bits: int, target: int) -> tuple[Circuit, SumLayout]:
@@ -144,14 +138,6 @@ def build_diffuser(input_qubits, grover_ancilla: int, width: int | None = None) 
         raise ValueError("grover ancilla collides with the input register")
     if width is None:
         width = max(max(input_qubits), grover_ancilla) + 1
-    circuit = Circuit(width)
-    for q in input_qubits:
-        circuit.append(h(q))
-    for q in input_qubits:
-        circuit.append(x(q))
-    circuit.append(mcx(input_qubits, grover_ancilla))
-    for q in reversed(input_qubits):
-        circuit.append(x(q))
-    for q in reversed(input_qubits):
-        circuit.append(h(q))
-    return circuit
+    hs = [h(q) for q in input_qubits]
+    xs = [x(q) for q in input_qubits]
+    return Circuit(width, hs + xs + [mcx(input_qubits, grover_ancilla)] + xs[::-1] + hs[::-1])

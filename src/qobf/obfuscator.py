@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 from operator import itemgetter
 
 import numpy as np
@@ -98,15 +98,16 @@ class ObfuscationPlan:
     @property
     def qubit_map(self) -> dict:
         """Register name -> qubits: the triple-sum layout plus the phase ancilla."""
-        layout = asdict(triple_sum_layout(self.bits))
-        qubit_map = {name.removesuffix("_qubits"): spec for name, spec in layout.items()}
+        layout = triple_sum_layout(self.bits)
+        qubit_map = {f.name.removesuffix("_qubits"): getattr(layout, f.name)
+                     for f in fields(layout)}
         qubit_map["grover_ancilla"] = self.total_qubits - 1
         return qubit_map
 
     @property
     def input_qubits(self) -> tuple[int, ...]:
-        qubit_map = self.qubit_map
-        return qubit_map["x"] + qubit_map["y"] + qubit_map["z"]
+        """x, y then z: the low 3n qubits, which ``simulate`` stores."""
+        return tuple(range(3 * self.bits))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from qobf.arithmetic import (
     triple_sum_layout,
     uma,
 )
-from qobf.circuit import Circuit, gate_counts, inverse
+from qobf.circuit import Circuit, ccx, cx, gate_counts, inverse
 from qobf.statevector import run_circuit
 from states import basis_state
 
@@ -171,3 +171,35 @@ def test_triple_sum_on_random_widths(case):
     assert read_bits(out, layout.y_qubits + (layout.cout0,)) == x_val + y_val
     assert (out >> layout.adder2_ancilla) & 1 == 0
     assert permuted_index(inverse(circuit), out) == start
+
+
+def appended_half_adder(layout, width):
+    """The half adder appended gate by gate, each maj/uma column spelled out."""
+    circuit = Circuit(width)
+    carries = (layout.ancilla,) + layout.a_qubits[:-1]
+    columns = list(zip(carries, layout.b_qubits, layout.a_qubits))
+    for c, b, a in columns:
+        for op in (cx(a, b), cx(a, c), ccx(c, b, a)):
+            circuit.append(op)
+    circuit.append(cx(layout.a_qubits[-1], layout.carry_out))
+    for c, b, a in reversed(columns):
+        for op in (ccx(c, b, a), cx(a, c), cx(c, b)):
+            circuit.append(op)
+    return circuit
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_adders_hand_over_the_gate_by_gate_op_list(n):
+    layout = AdderLayout(tuple(range(n)), tuple(range(n, 2 * n)), 2 * n, 2 * n + 1)
+    assert build_half_adder(n, layout) == appended_half_adder(layout, 2 * n + 2)
+
+    triple, sums = build_triple_sum(n)
+    reference = appended_half_adder(
+        AdderLayout(sums.x_qubits, sums.y_qubits, sums.shared_ancilla, sums.cout0), 3 * n + 4)
+    second = appended_half_adder(
+        AdderLayout(sums.y_qubits + (sums.cout0,), sums.z_qubits + (sums.shared_ancilla,),
+                    sums.adder2_ancilla, sums.cout1), 3 * n + 4)
+    for op in second.ops:
+        reference.append(op)
+    assert triple.width == reference.width
+    assert triple.ops == reference.ops

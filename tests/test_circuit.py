@@ -1,5 +1,6 @@
 """Circuit representation: construction, metrics, MCX expansion, text format."""
 
+import pickle
 import time
 import tracemalloc
 
@@ -339,3 +340,26 @@ def test_parse_inverts_serialize_on_random_circuits(circuit):
     again = parse(serialize(circuit))
     assert again == circuit
     assert again.labels == circuit.labels
+
+
+def test_the_width_check_names_the_first_offending_gate():
+    with pytest.raises(ValueError, match="^gate cx touches qubit 5, circuit width 3$"):
+        Circuit(3, [cx(0, 5)])
+    with pytest.raises(ValueError, match="^gate ccx touches qubit 4, circuit width 3$"):
+        Circuit(3, [h(0), ccx(4, 1, 0), x(7)], block=[x(9)], copies=2)
+    with pytest.raises(ValueError, match="^gate x touches qubit 3, circuit width 3$"):
+        Circuit(3, [h(0)], block=[cx(0, 1), x(3)], copies=1)
+    assert len(Circuit(3, [h(2)], block=[x(5)], copies=0)) == 1  # a block run zero times
+
+
+def test_a_gate_keeps_its_qubit_tuple_outside_its_fields():
+    op = GateOp("ccx", (2, 1), 0)
+    assert op == GateOp("ccx", (1, 2), 0)
+    assert hash(op) == hash(GateOp("ccx", (1, 2), 0))
+    assert op.qubits() == op.controls + (op.target,) == (1, 2, 0)
+    assert op.qubits() is op.qubits()
+    assert repr(op) == "GateOp(kind='ccx', controls=(1, 2), target=0)"
+    copied = pickle.loads(pickle.dumps(op))
+    assert copied == op and hash(copied) == hash(op)
+    assert copied.qubits() == (1, 2, 0)
+    assert {op: 1}[copied] == 1

@@ -1,10 +1,15 @@
 """Front-end behavior: output formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import qobf
 from qobf import cli
 from qobf.circuit import parse
 from qobf.obfuscator import MAX_CIRCUIT_OPS, MAX_PLAN_BITS, MAX_SHOTS
@@ -334,3 +339,44 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
         cli.main(["frobnicate"])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+def run_alone(argv):
+    """The call in a fresh interpreter: (exit code, stdout, stderr)."""
+    src = str(Path(qobf.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "qobf.cli", *argv], env=env,
+                          capture_output=True, text=True, check=False)
+    return done.returncode, done.stdout, done.stderr
+
+
+def run_in_process(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_independent_calls(tmp_path, capsys):
+    out_file = tmp_path / "histogram.json"
+    calls = [
+        ["obfuscate", "--n-value", "7", "--format", "json", "--out", str(out_file)],
+        ["obfuscate", "--n-value", "7"],
+        ["inspect", "--n-value", "19", "--bits", "8"],
+        ["inspect", "--n-value", "19"],
+        ["inspect"],  # a parse error: --n-value is required
+        ["inspect", "--n-value", "19", "--format", "json"],
+    ]
+    alone = []
+    for argv in calls:
+        alone.append(run_alone(argv))
+        if argv[-1] == str(out_file):
+            alone_file = out_file.read_text()
+            out_file.unlink()
+    assert alone[4][0] == 2 and "--n-value" in alone[4][2]
+    assert cli.build_parser() is cli.build_parser()
+    for argv, want in zip(calls, alone):
+        assert run_in_process(capsys, argv) == want, argv
+    assert out_file.read_text() == alone_file

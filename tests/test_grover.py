@@ -241,3 +241,48 @@ def test_two_qubit_single_round_grover_is_exact():
     probs = np.abs(state.amplitudes) ** 2
     p_marked = probs[0b010] + probs[0b110]  # flag qubit either way
     assert p_marked == pytest.approx(1.0, abs=1e-12)
+
+
+# the build-edge workload's targets: N=375..379 at 7 bits, 744..757 at 8 bits
+EDGE_TARGETS = {7: range(375, 380), 8: range(744, 758)}
+
+
+def appended_query(layout, target, ancilla, width):
+    circuit = Circuit(width)
+    flips = [q for i, q in enumerate(layout.sum_qubits) if not (target >> i) & 1]
+    for q in flips:
+        circuit.append(x(q))
+    circuit.append(mcx(layout.sum_qubits, ancilla))
+    for q in reversed(flips):
+        circuit.append(x(q))
+    return circuit
+
+
+def appended_diffuser(inputs, ancilla, width):
+    circuit = Circuit(width)
+    for q in inputs:
+        circuit.append(h(q))
+    for q in inputs:
+        circuit.append(x(q))
+    circuit.append(mcx(inputs, ancilla))
+    for q in reversed(inputs):
+        circuit.append(x(q))
+    for q in reversed(inputs):
+        circuit.append(h(q))
+    return circuit
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+def test_query_and_diffuser_hand_over_the_gate_by_gate_op_list(bits):
+    layout = triple_sum_layout(bits)
+    width = 3 * bits + 5
+    ancilla = width - 1
+    targets = range(3 * (2**bits - 1) + 1) if bits <= 3 else EDGE_TARGETS.get(bits, ())
+    for target in targets:
+        query = build_query(layout, target, ancilla, width=width)
+        assert query.ops == appended_query(layout, target, ancilla, width).ops, target
+        assert query.width == width
+    inputs = tuple(range(3 * bits))
+    diffuser = build_diffuser(inputs, ancilla, width=width)
+    assert diffuser.ops == appended_diffuser(inputs, ancilla, width).ops
+    assert diffuser == appended_diffuser(inputs, ancilla, width)

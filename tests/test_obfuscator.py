@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qobf import grover
+from qobf.arithmetic import triple_sum_layout
 from qobf.circuit import Circuit, decompose_mcx, depth, gate_counts, h, x
 from qobf.errors import ConstraintError
 from qobf.obfuscator import (
@@ -98,6 +99,17 @@ def test_plan_qubit_map_layout():
     assert case.qubit_map["adder2_ancilla"] == 12
     assert case.qubit_map["grover_ancilla"] == 13
     assert case.input_qubits == tuple(range(9))
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+def test_qubit_map_and_inputs_equal_the_layout_as_a_dict(bits):
+    case = ObfuscationPlan(1, bits, 0)
+    layout = dataclasses.asdict(triple_sum_layout(bits))
+    want = {name.removesuffix("_qubits"): spec for name, spec in layout.items()}
+    want["grover_ancilla"] = 3 * bits + 4
+    assert case.qubit_map == want
+    assert list(case.qubit_map) == list(want)
+    assert case.input_qubits == want["x"] + want["y"] + want["z"]
 
 
 def test_obfuscation_plan_validation():
