@@ -95,18 +95,14 @@ def uma(c: int, b: int, a: int) -> list[GateOp]:
     return [ccx(c, b, a), cx(a, c), cx(c, b)]
 
 
-def build_half_adder(n: int, layout: AdderLayout, width: int | None = None) -> Circuit:
+def build_half_adder(layout: AdderLayout, width: int | None = None) -> Circuit:
     """Ripple-carry adder |a>|b>|0_anc>|cout> -> |a>|(a+b) mod 2^n>|0_anc>|cout ^ msb(a+b)>.
 
-    The maj chain runs least-significant first with the ancilla as the
-    initial carry, one CX copies the final carry onto carry_out, and the
-    mirrored uma chain restores a and the ancilla while writing the sum
-    onto b.
+    n is the layout's operand length. The maj chain runs
+    least-significant first with the ancilla as the initial carry, one
+    CX copies the final carry onto carry_out, and the mirrored uma chain
+    restores a and the ancilla while writing the sum onto b.
     """
-    if n < 1:
-        raise ValueError(f"adder width must be >= 1, got {n}")
-    if n != len(layout.a_qubits):
-        raise ValueError(f"n={n} does not match layout operand length {len(layout.a_qubits)}")
     if width is None:
         width = max(layout.a_qubits + layout.b_qubits + (layout.ancilla, layout.carry_out)) + 1
     columns = list(zip((layout.ancilla,) + layout.a_qubits[:-1], layout.b_qubits,
@@ -137,9 +133,6 @@ def build_triple_sum(n: int, width: int | None = None) -> tuple[Circuit, SumLayo
     to |0>). Adder 2 then adds the partial sum y ++ [cout0] into z
     extended by the freed shared_ancilla, with carry cout1 and its own
     ancilla. Width defaults to the 3n+4 the layout needs.
-
-    Labels: x, y, z, plus ``sum`` for the two sum bits beyond z (the
-    full little-endian sum register is z ++ sum).
     """
     if n < 1:
         raise ValueError(f"register width must be >= 1, got {n}")
@@ -147,12 +140,10 @@ def build_triple_sum(n: int, width: int | None = None) -> tuple[Circuit, SumLayo
     if width is None:
         width = 3 * n + 4
     adder1 = build_half_adder(
-        n,
         AdderLayout(layout.x_qubits, layout.y_qubits, layout.shared_ancilla, layout.cout0),
         width=width,
     )
     adder2 = build_half_adder(
-        n + 1,
         AdderLayout(
             layout.y_qubits + (layout.cout0,),
             layout.z_qubits + (layout.shared_ancilla,),
@@ -161,17 +152,7 @@ def build_triple_sum(n: int, width: int | None = None) -> tuple[Circuit, SumLayo
         ),
         width=width,
     )
-    circuit = Circuit(
-        width,
-        adder1.ops + adder2.ops,
-        labels={
-            "x": layout.x_qubits,
-            "y": layout.y_qubits,
-            "z": layout.z_qubits,
-            "sum": (layout.shared_ancilla, layout.cout1),
-        },
-    )
-    return circuit, layout
+    return Circuit(width, adder1.ops + adder2.ops), layout
 
 
 def cuccaro_reference_counts(n: int) -> dict[str, int]:

@@ -11,8 +11,10 @@ out of memory, 4 file I/O failure. Error messages go to standard error.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import sys
 
 from . import arithmetic, circuit, grover, obfuscator, statevector
@@ -32,6 +34,21 @@ def _print(text: str, out_path: str | None):
     else:
         with open(out_path, "w", encoding="ascii") as handle:
             handle.write(text)
+
+
+def _check_out(out_path: str | None):
+    """Raise, before any work, the OSError that writing ``out_path`` would raise after it.
+
+    The file is not opened, so a run that fails later leaves it as it was.
+    """
+    if out_path is None:
+        return
+    directory = os.path.dirname(out_path) or "."
+    code = (errno.EISDIR if os.path.isdir(out_path)
+            else errno.ENOENT if not os.path.isdir(directory)
+            else errno.EACCES if not os.access(directory, os.W_OK) else None)
+    if code is not None:
+        raise OSError(code, os.strerror(code), out_path)
 
 
 def _format_text(histogram, top: int) -> str:
@@ -65,6 +82,7 @@ def _format_csv(histogram) -> str:
 def cmd_obfuscate(args) -> int:
     if args.top < 1:
         raise ConstraintError(f"--top must be >= 1, got {args.top}")
+    _check_out(args.out)
     obf_plan = obfuscator.plan(args.n_value, args.bits)
     histogram = obfuscator.run(obf_plan, shots=args.shots, seed=args.seed)
     if args.format == "json":
@@ -139,51 +157,47 @@ def cmd_inspect(args) -> int:
     built = obfuscator.build_full_circuit(obf_plan)
     expanded = circuit.decompose_mcx(built)
     bits = obf_plan.bits
-    layout = arithmetic.AdderLayout(
-        a_qubits=tuple(range(bits)),
-        b_qubits=tuple(range(bits, 2 * bits)),
-        ancilla=2 * bits,
-        carry_out=2 * bits + 1,
-    )
-    measured = circuit.gate_counts(arithmetic.build_half_adder(bits, layout))
-    reference = arithmetic.cuccaro_reference_counts(obf_plan.bits)
+    adder = arithmetic.build_half_adder(arithmetic.AdderLayout(
+        tuple(range(bits)), tuple(range(bits, 2 * bits)), 2 * bits, 2 * bits + 1))
+    report = {
+        "target": obf_plan.target,
+        "bits": bits,
+        "qubits": obf_plan.total_qubits,
+        "iterations": obf_plan.iterations,
+        "solutions": obf_plan.solution_count,
+        "space_size": obf_plan.space_size,
+        "theoretical_success": obf_plan.theoretical_success,
+        "gates": circuit.gate_counts(built),
+        "depth": circuit.depth(built),
+        "decomposed_gates": circuit.gate_counts(expanded),
+        "decomposed_depth": circuit.depth(expanded),
+        "decomposed_width": expanded.width,
+        "adder_gates": {
+            "measured": circuit.gate_counts(adder),
+            "reference": arithmetic.cuccaro_reference_counts(bits),
+        },
+    }
     if args.format == "json":
-        print(json.dumps({
-            "target": obf_plan.target,
-            "bits": obf_plan.bits,
-            "qubits": obf_plan.total_qubits,
-            "iterations": obf_plan.iterations,
-            "solutions": obf_plan.solution_count,
-            "space_size": obf_plan.space_size,
-            "theoretical_success": obf_plan.theoretical_success,
-            "gates": circuit.gate_counts(built),
-            "depth": circuit.depth(built),
-            "decomposed_gates": circuit.gate_counts(expanded),
-            "decomposed_depth": circuit.depth(expanded),
-            "decomposed_width": expanded.width,
-            "adder_gates": {"measured": measured, "reference": reference},
-        }, indent=2))
+        print(json.dumps(report, indent=2))
         return 0
-    print(f"target {obf_plan.target}")
-    print(f"bits {obf_plan.bits}")
-    print(f"qubits {obf_plan.total_qubits}")
-    print(f"iterations {obf_plan.iterations}")
-    print(f"solutions {obf_plan.solution_count}")
-    print(f"space_size {obf_plan.space_size}")
-    print(f"theoretical_success {obf_plan.theoretical_success:.6f}")
-    print(_counts_line("gates", circuit.gate_counts(built)))
-    print(f"depth {circuit.depth(built)}")
-    print(_counts_line("decomposed_gates", circuit.gate_counts(expanded)))
-    print(f"decomposed_depth {circuit.depth(expanded)}")
-    print(f"decomposed_width {expanded.width}")
-    print(
-        f"adder ccx={measured['ccx']} cx={measured['cx']} "
-        f"(reference construction: ccx={reference['ccx']} cx={reference['cx']})"
-    )
+    for key, value in report.items():
+        if key == "adder_gates":
+            measured, reference = value["measured"], value["reference"]
+            print(
+                f"adder ccx={measured['ccx']} cx={measured['cx']} "
+                f"(reference construction: ccx={reference['ccx']} cx={reference['cx']})"
+            )
+        elif key == "theoretical_success":
+            print(f"{key} {value:.6f}")
+        elif isinstance(value, dict):
+            print(_counts_line(key, value))
+        else:
+            print(f"{key} {value}")
     return 0
 
 
 def cmd_export(args) -> int:
+    _check_out(args.out)
     obf_plan = obfuscator.plan(args.n_value, args.bits)
     built = obfuscator.build_full_circuit(obf_plan)
     if args.decompose:

@@ -19,8 +19,13 @@ from __future__ import annotations
 import math
 
 from .arithmetic import SumLayout, build_triple_sum
-from .circuit import Circuit, compose, h, inverse, mcx, x
+from .circuit import Circuit, h, mcx, x
 from .errors import ConstraintError
+
+
+def reachable_bound(bits: int) -> int:
+    """Largest target expressible as a sum of three ``bits``-bit values."""
+    return 3 * (2**bits - 1)
 
 
 def count_solutions(target: int, bits: int) -> int:
@@ -109,14 +114,15 @@ def build_query(sum_layout: SumLayout, target: int, grover_ancilla: int,
     return Circuit(width, flips + [mcx(sum_qubits, grover_ancilla)] + flips[::-1])
 
 
-def build_oracle(bits: int, target: int) -> tuple[Circuit, SumLayout]:
+def build_oracle(bits: int, target: int) -> Circuit:
     """Sign flip on exactly the inputs with x + y + z = target.
 
-    Width 3n+5: triple sum, equality query, inverse triple sum. Needs
+    Width 3n+5: triple sum, equality query, then the triple sum's ops
+    reversed, which undo it (every adder gate is its own inverse). Needs
     the last qubit (the Grover ancilla) prepared in |-> and all carry
     and ancilla qubits in |0>; it returns them all unchanged.
     """
-    reachable = 3 * (2**bits - 1)
+    reachable = reachable_bound(bits)
     if not 0 <= target <= reachable:
         raise ConstraintError(
             f"target {target} is not reachable with {bits}-bit registers "
@@ -126,7 +132,7 @@ def build_oracle(bits: int, target: int) -> tuple[Circuit, SumLayout]:
     grover_ancilla = width - 1
     adder, layout = build_triple_sum(bits, width=width)
     query = build_query(layout, target, grover_ancilla, width=width)
-    return compose(compose(adder, query), inverse(adder)), layout
+    return Circuit(width, adder.ops + query.ops + adder.ops[::-1])
 
 
 def build_diffuser(input_qubits, grover_ancilla: int, width: int | None = None) -> Circuit:

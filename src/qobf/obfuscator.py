@@ -68,7 +68,7 @@ class ObfuscationPlan:
             raise ConstraintError(f"target must be >= 1, got {self.target}")
         if self.bits < 1:
             raise ConstraintError(f"bits must be >= 1, got {self.bits}")
-        bound = reachable_bound(self.bits)
+        bound = grover.reachable_bound(self.bits)
         if self.target > bound:
             raise ConstraintError(
                 f"target {self.target} exceeds 3*(2^{self.bits} - 1) = {bound}; "
@@ -136,11 +136,6 @@ class DecodedHistogram:
             raise ValueError("exact_success must be a probability")
 
 
-def reachable_bound(bits: int) -> int:
-    """Largest target expressible as a sum of three ``bits``-bit values."""
-    return 3 * (2**bits - 1)
-
-
 def plan(target: int, bits: int | None = None) -> ObfuscationPlan:
     """Choose the register width (minimal unless given) and the Grover rounds.
 
@@ -150,7 +145,7 @@ def plan(target: int, bits: int | None = None) -> ObfuscationPlan:
     """
     if bits is None:
         bits = 1
-        while reachable_bound(bits) < target:
+        while grover.reachable_bound(bits) < target:
             bits += 1
     too_wide = ConstraintError(
         f"{bits}-bit registers are too wide to plan: the round count "
@@ -186,7 +181,7 @@ def build_full_circuit(obf_plan: ObfuscationPlan) -> Circuit:
     }
     prologue = [h(q) for q in obf_plan.input_qubits]
     prologue += [x(grover_ancilla), h(grover_ancilla)]
-    oracle, _ = grover.build_oracle(obf_plan.bits, obf_plan.target)
+    oracle = grover.build_oracle(obf_plan.bits, obf_plan.target)
     diffuser = grover.build_diffuser(obf_plan.input_qubits, grover_ancilla, width=width)
     one_round = oracle.ops + diffuser.ops
     total = len(prologue) + obf_plan.iterations * len(one_round)
@@ -253,18 +248,13 @@ def solution_probability(obf_plan: ObfuscationPlan, state: StateVector) -> float
 def decode(bitstring: str, bits: int) -> tuple[int, int, int]:
     """Split a sampled 3n-bit string into (x, y, z).
 
-    The string is written most significant qubit first, so qubit 0 is
-    the rightmost character: x is the last n characters, y the middle n,
-    z the first n.
+    The string is written most significant qubit first, so it reads as
+    the outcome index in binary, which ``_registers`` splits. Anything
+    but exactly 3n characters of 0 and 1 is refused.
     """
-    if len(bitstring) != 3 * bits:
-        raise ConstraintError(
-            f"bitstring length {len(bitstring)} != 3*{bits}"
-        )
-    xv = int(bitstring[-bits:], 2)
-    yv = int(bitstring[-2 * bits:-bits], 2)
-    zv = int(bitstring[:bits], 2)
-    return xv, yv, zv
+    if len(bitstring) != 3 * bits or not set(bitstring) <= {"0", "1"}:
+        raise ConstraintError(f"bitstring {bitstring!r} is not 3*{bits} binary digits")
+    return _registers(int(bitstring, 2), bits)
 
 
 def run(obf_plan: ObfuscationPlan, shots: int = DEFAULT_SHOTS,

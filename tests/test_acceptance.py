@@ -95,7 +95,7 @@ def test_criterion_4_oracle_phase_property(capsys):
     with verdict(capsys, "criterion 4: oracle sign pattern (n=2, targets 0..9)"):
         bits = 2
         for target in range(0, 10):
-            oracle, _ = build_oracle(bits, target)
+            oracle = build_oracle(bits, target)
             width = oracle.width
             flag = width - 1
             flipped = 0
@@ -153,7 +153,7 @@ def test_criterion_7_reversibility_and_round_trips(capsys):
         circuits = []
         for bits in (1, 2, 3):
             adder, _ = build_triple_sum(bits)
-            oracle, _ = build_oracle(bits, 3 * (2 ** bits - 1) - 1)
+            oracle = build_oracle(bits, 3 * (2 ** bits - 1) - 1)
             circuits.extend([adder, oracle])
         rng = np.random.default_rng(2024)
         for circuit in circuits:

@@ -85,7 +85,7 @@ def test_half_adder_exhaustive(n):
         ancilla=2 * n,
         carry_out=2 * n + 1,
     )
-    circuit = build_half_adder(n, layout)
+    circuit = build_half_adder(layout)
     for a_val, b_val in itertools.product(range(2 ** n), repeat=2):
         start = a_val | (b_val << n)
         out = final_basis_index(circuit, start)
@@ -105,7 +105,7 @@ def test_half_adder_gate_counts():
             ancilla=2 * n,
             carry_out=2 * n + 1,
         )
-        counts = gate_counts(build_half_adder(n, layout))
+        counts = gate_counts(build_half_adder(layout))
         assert counts["ccx"] == 2 * n
         assert counts["cx"] == 4 * n + 1
         assert counts["h"] == 0
@@ -191,7 +191,7 @@ def appended_half_adder(layout, width):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_adders_hand_over_the_gate_by_gate_op_list(n):
     layout = AdderLayout(tuple(range(n)), tuple(range(n, 2 * n)), 2 * n, 2 * n + 1)
-    assert build_half_adder(n, layout) == appended_half_adder(layout, 2 * n + 2)
+    assert build_half_adder(layout) == appended_half_adder(layout, 2 * n + 2)
 
     triple, sums = build_triple_sum(n)
     reference = appended_half_adder(

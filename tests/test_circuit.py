@@ -236,7 +236,7 @@ def flat(circuit):
     return Circuit(circuit.width, circuit.ops, dict(circuit.labels))
 
 
-def test_repeat_must_describe_the_op_list():
+def test_prologue_and_block_describe_the_op_list():
     ops = [h(0), cx(0, 1), x(1), cx(0, 1), x(1)]
     for prologue, block, copies in (([h(0)], [cx(0, 1), x(1)], 2),
                                     (ops[:4], [x(1)], 1), (ops, [], 0)):
@@ -253,13 +253,13 @@ def test_repeat_must_describe_the_op_list():
         Circuit(2, [h(0)], block=[x(2)], copies=3)  # block out of range
 
 
-def test_repeat_is_not_part_of_equality():
+def test_block_split_is_not_part_of_equality():
     ops = [h(0)] + [cx(0, 1)] * 3
     assert Circuit(2, [h(0)], block=[cx(0, 1)], copies=3) == Circuit(2, list(ops))
     assert Circuit(2, [h(0)], block=[cx(0, 1)], copies=2) != Circuit(2, list(ops))
 
 
-def test_append_clears_repeat_and_metrics_stay_right():
+def test_append_flattens_the_block_and_metrics_stay_right():
     circuit = Circuit(3, [h(0)], block=[cx(0, 1), ccx(0, 1, 2)], copies=4)
     assert depth(circuit) == 9
     circuit.append(h(2))
@@ -283,7 +283,7 @@ def test_inverse_and_compose_of_a_repeated_circuit_are_flat():
     assert gate_counts(inverse(rounds)) == gate_counts(rounds)
 
 
-def test_decompose_keeps_the_repeat_of_the_expanded_block():
+def test_decompose_keeps_the_copies_of_the_expanded_block():
     rounds = Circuit(6, [h(0)], block=[mcx((0, 1, 2, 3), 4), x(5)], copies=3)
     expanded = decompose_mcx(rounds)
     assert (len(expanded.block), expanded.copies) == (6, 3)

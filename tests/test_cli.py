@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import qobf
-from qobf import cli
+from qobf import cli, obfuscator
 from qobf.circuit import parse
 from qobf.obfuscator import MAX_CIRCUIT_OPS, MAX_PLAN_BITS, MAX_SHOTS
 
@@ -304,6 +304,28 @@ def test_inspect_json_format(capsys):
     assert payload["adder_gates"]["reference"] == {"ccx": 5, "cx": 12}
 
 
+@pytest.mark.parametrize("target", [1, 19, 63, 765])
+def test_inspect_text_lines_are_the_json_entries_in_order(capsys, target):
+    _, text, _ = invoke(capsys, "inspect", "--n-value", str(target))
+    _, doc, _ = invoke(capsys, "inspect", "--n-value", str(target), "--format", "json")
+    payload = json.loads(doc)
+    lines = text.splitlines()
+    assert len(lines) == len(payload)
+    for line, (key, value) in zip(lines, payload.items()):
+        name, rest = line.split(" ", 1)
+        if key == "adder_gates":
+            measured, reference = value["measured"], value["reference"]
+            assert line == (f"adder ccx={measured['ccx']} cx={measured['cx']} (reference "
+                            f"construction: ccx={reference['ccx']} cx={reference['cx']})")
+        elif key == "theoretical_success":
+            assert (name, rest) == (key, f"{value:.6f}")
+        elif isinstance(value, dict):
+            assert name == key
+            assert {k: int(v) for k, v in (tok.split("=") for tok in rest.split())} == value
+        else:
+            assert (name, rest) == (key, str(value))
+
+
 def test_export_round_trip(tmp_path, capsys):
     code, out, _ = invoke(capsys, "export", "--n-value", "19")
     assert code == 0
@@ -332,6 +354,37 @@ def test_export_bad_path_exits_4(capsys):
     )
     assert code == 4
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["obfuscate", "export"])
+def test_unusable_out_exits_4_before_planning(tmp_path, capsys, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        pytest.fail("planned or ran although --out cannot be written")
+
+    monkeypatch.setattr(obfuscator, "plan", refuse)
+    monkeypatch.setattr(obfuscator, "run", refuse)
+    for out in (tmp_path / "missing" / "h.txt", tmp_path):
+        code, stdout, err = invoke(capsys, command, "--n-value", "127", "--out", str(out))
+        assert (code, stdout) == (4, "")
+        assert err.startswith("error:") and str(out) in err
+    monkeypatch.setattr(os, "access", lambda path, mode: False)  # a read-only directory
+    out = tmp_path / "h.txt"
+    code, _, err = invoke(capsys, command, "--n-value", "127", "--out", str(out))
+    assert code == 4 and "Permission denied" in err and str(out) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_runs_that_fail_leave_the_out_file_alone(tmp_path, capsys):
+    kept, fresh = tmp_path / "kept.txt", tmp_path / "fresh.txt"
+    kept.write_text("kept\n")
+    for argv, want in ((["obfuscate", "--n-value", "7", "--bits", "1"], 2),
+                       (["obfuscate", "--n-value", "7", "--shots", str(MAX_SHOTS + 1)], 3),
+                       (["export", "--n-value", "7", "--bits", "1"], 2)):
+        for out in (kept, fresh):
+            code, _, _ = invoke(capsys, *argv, "--out", str(out))
+            assert code == want
+    assert kept.read_text() == "kept\n"
+    assert not fresh.exists()
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from qobf.arithmetic import triple_sum_layout
-from qobf.circuit import Circuit, compose, gate_counts, h, mcx, x
+from qobf.arithmetic import build_triple_sum, triple_sum_layout
+from qobf.circuit import Circuit, compose, gate_counts, h, inverse, mcx, x
 from qobf.errors import ConstraintError
 from qobf.grover import (
     brute_force_solutions,
@@ -86,7 +86,7 @@ def test_theoretical_success_values():
         theoretical_success(8, 1, -1)
 
 
-def test_make_plan_bundles_consistently():
+def test_plan_bundles_consistently():
     case = plan(19, 3)
     assert case == ObfuscationPlan(target=19, bits=3, iterations=7)
     assert (case.space_size, case.solution_count) == (512, 6)
@@ -96,7 +96,7 @@ def test_make_plan_bundles_consistently():
         plan(10, 2)  # unreachable: no solutions
 
 
-def test_grover_plan_invariants():
+def test_obfuscation_plan_invariants():
     # the derived fields cannot disagree with the planning math
     for target, bits in [(1, 1), (3, 2), (7, 2), (6, 3)]:
         case = ObfuscationPlan(target, bits, 1)
@@ -168,7 +168,7 @@ def test_oracle_diagonal_sign_pattern_exhaustive_n1():
     for target in range(0, 4):  # reachable range for n=1 plus bound
         if target > 3 * (2 ** bits - 1):
             break
-        oracle, _ = build_oracle(bits, target)
+        oracle = build_oracle(bits, target)
         assert oracle.width == 3 * bits + 5
         flipped = 0
         for index in range(2 ** (3 * bits)):
@@ -191,7 +191,7 @@ def test_oracle_rejects_unreachable_targets():
 
 
 def test_oracle_squared_is_identity():
-    oracle, _ = build_oracle(2, 7)
+    oracle = build_oracle(2, 7)
     width = oracle.width
     rng = np.random.default_rng(8)
     for trial in range(5):
@@ -286,3 +286,17 @@ def test_query_and_diffuser_hand_over_the_gate_by_gate_op_list(bits):
     diffuser = build_diffuser(inputs, ancilla, width=width)
     assert diffuser.ops == appended_diffuser(inputs, ancilla, width).ops
     assert diffuser == appended_diffuser(inputs, ancilla, width)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 7, 8])
+def test_oracle_is_the_sum_the_query_and_the_sum_undone(bits):
+    # the reference builds the same sandwich from checked Circuits with compose and inverse
+    width = 3 * bits + 5
+    adder, layout = build_triple_sum(bits, width=width)
+    targets = range(3 * (2**bits - 1) + 1) if bits <= 3 else EDGE_TARGETS[bits]
+    for target in targets:
+        query = build_query(layout, target, width - 1, width=width)
+        oracle = build_oracle(bits, target)
+        assert type(oracle) is Circuit
+        assert oracle.width == width
+        assert oracle.ops == compose(compose(adder, query), inverse(adder)).ops, target

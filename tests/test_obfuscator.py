@@ -144,7 +144,7 @@ def reference_full_circuit(case):
         circuit.append(h(q))
     circuit.append(x(case.total_qubits - 1))
     circuit.append(h(case.total_qubits - 1))
-    oracle, _ = grover.build_oracle(case.bits, case.target)
+    oracle = grover.build_oracle(case.bits, case.target)
     diffuser = grover.build_diffuser(case.input_qubits, case.total_qubits - 1,
                                      width=case.total_qubits)
     for _ in range(case.iterations):
@@ -336,6 +336,18 @@ def test_decode_matches_register_split_exhaustive_n2():
         assert decode(format(index, "06b"), 2) == _registers(index, 2)
     with pytest.raises(ConstraintError):
         decode("0000000", 2)
+
+
+# int(s, 2) takes a 0b prefix, underscores and surrounding whitespace;
+# decode takes exactly 3n characters of 0 and 1
+@pytest.mark.parametrize("bitstring, bits", [
+    ("0b1", 1), ("1_0", 1), (" 01", 1), ("01 ", 1), ("012", 1), ("+01", 1),
+    ("0b1111111", 3), ("1_1111111", 3), (" 11111111", 3),
+    ("", 1), ("01", 1), ("0101", 1), ("0" * 10, 3),
+])
+def test_decode_refuses_anything_but_3n_binary_digits(bitstring, bits):
+    with pytest.raises(ConstraintError):
+        decode(bitstring, bits)
 
 
 def test_histogram_invariants_enforced():

@@ -223,7 +223,7 @@ def test_mcx_matches_permutation_matrix():
 
 
 # N=22, 31 and 45 run at 17 qubits, where the inputs' butterflies span whole
-# chunks; N=63 at 20 qubits (16 stored)
+# chunks; N=63 at 20 qubits (15 stored)
 @pytest.mark.parametrize("target", [*range(1, 23), 31, 45, 63])
 def test_pipeline_circuit_equals_gate_by_gate_reference(target):
     circuit = build_full_circuit(plan(target))
