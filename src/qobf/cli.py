@@ -15,6 +15,7 @@ import errno
 import functools
 import json
 import os
+import stat
 import sys
 
 from . import arithmetic, circuit, grover, obfuscator, statevector
@@ -43,12 +44,16 @@ def _check_out(out_path: str | None):
     """
     if out_path is None:
         return
-    directory = os.path.dirname(out_path) or "."
-    code = (errno.EISDIR if os.path.isdir(out_path)
-            else errno.ENOENT if not os.path.isdir(directory)
-            else errno.EACCES if not os.access(directory, os.W_OK) else None)
-    if code is not None:
-        raise OSError(code, os.strerror(code), out_path)
+    try:  # stat raises what open would for a missing or non-directory component
+        if stat.S_ISDIR(os.stat(out_path).st_mode):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), out_path)
+        target, mode = out_path, os.W_OK  # an existing file: write permission on it alone
+    except FileNotFoundError:
+        target, mode = os.path.dirname(out_path) or ".", os.W_OK | os.X_OK  # a new one
+        if not os.path.isdir(target):
+            raise
+    if not os.access(target, mode):
+        raise OSError(errno.EACCES, os.strerror(errno.EACCES), out_path)
 
 
 def _format_text(histogram, top: int) -> str:

@@ -5,19 +5,35 @@ It is the only caller of ``statevector.sample``, ``obfuscator.decode``,
 of them shows here before the benchmark runs.
 """
 
+import importlib
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import pytest
 
-import tracing  # noqa: E402
-import worker  # noqa: E402
-from workloads import OBFUSCATE, Request  # noqa: E402
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_traced_obfuscate_probe_matches_the_untraced_request():
+@pytest.fixture
+def bench_module(monkeypatch):
+    """Import a perfbench module for this test only.
+
+    perfbench's modules import each other by bare name, so its directory
+    goes on ``sys.path``, and every bare-named module it loads leaves
+    ``sys.modules``, after the test.
+    """
+    monkeypatch.syspath_prepend(str(BENCH))
+    before = set(sys.modules)
+    yield importlib.import_module
+    for name in set(sys.modules) - before:
+        if Path(getattr(sys.modules[name], "__file__", None) or "").parent == BENCH:
+            del sys.modules[name]
+
+
+def test_traced_obfuscate_probe_matches_the_untraced_request(bench_module):
+    worker, tracing, workloads = map(bench_module, ("worker", "tracing", "workloads"))
     rid, req = worker.PROBES[0]
-    assert req == Request(OBFUSCATE, 19, 1024, 7)
+    assert req == workloads.Request(workloads.OBFUSCATE, 19, 1024, 7)
     out, _, problems = worker.traced_obfuscate(req, rid, tracing.Tracer())
     assert problems == []
     assert out == worker.serve(req)

@@ -363,15 +363,38 @@ def test_unusable_out_exits_4_before_planning(tmp_path, capsys, monkeypatch, com
 
     monkeypatch.setattr(obfuscator, "plan", refuse)
     monkeypatch.setattr(obfuscator, "run", refuse)
-    for out in (tmp_path / "missing" / "h.txt", tmp_path):
+    (tmp_path / "plain").write_text("")
+    for out in (tmp_path / "missing" / "h.txt", tmp_path, tmp_path / "plain" / "h.txt"):
+        with pytest.raises(OSError) as opened:
+            open(out, "w")
         code, stdout, err = invoke(capsys, command, "--n-value", "127", "--out", str(out))
-        assert (code, stdout) == (4, "")
-        assert err.startswith("error:") and str(out) in err
+        assert (code, stdout, err) == (4, "", f"error: {opened.value}\n")
     monkeypatch.setattr(os, "access", lambda path, mode: False)  # a read-only directory
     out = tmp_path / "h.txt"
     code, _, err = invoke(capsys, command, "--n-value", "127", "--out", str(out))
     assert code == 4 and "Permission denied" in err and str(out) in err
-    assert list(tmp_path.iterdir()) == []
+    assert [path.name for path in tmp_path.iterdir()] == ["plain"]
+
+
+@pytest.mark.parametrize("command", ["obfuscate", "export"])
+def test_existing_writable_out_in_read_only_directory_is_written(tmp_path, capsys,
+                                                                 monkeypatch, command):
+    out = tmp_path / "h.txt"
+    out.write_text("old\n")
+    real_access = os.access
+    # only the directory reads as read-only; the file itself stays writable
+    monkeypatch.setattr(os, "access", lambda path, mode: (
+        False if os.fspath(path) == str(tmp_path) else real_access(path, mode)))
+    argv = [command, "--n-value", "7", "--bits", "3"]
+    code, stdout, err = invoke(capsys, *argv)
+    assert code == 0 and err == ""
+    assert invoke(capsys, *argv, "--out", str(out)) == (0, "", "")
+    assert out.read_text() == stdout
+    out.chmod(0o444)
+    monkeypatch.setattr(os, "access", lambda path, mode: False)  # and now the file too
+    code, _, err = invoke(capsys, *argv, "--out", str(out))
+    assert code == 4 and "Permission denied" in err and str(out) in err
+    assert out.read_text() == stdout
 
 
 def test_runs_that_fail_leave_the_out_file_alone(tmp_path, capsys):
