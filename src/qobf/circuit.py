@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import attrgetter
 
 from .errors import CircuitParseError
 
@@ -30,14 +32,21 @@ GATE_KINDS = ("h", "x", "z", "cx", "ccx", "mcx")
 # controls required per kind; mcx is checked as >= 3
 _ARITY = {"h": 0, "x": 0, "z": 0, "cx": 1, "ccx": 2}
 
+# distinct gates each gate constructor keeps, and op lines serialize
+# keeps; one build at register width n makes about 6n CX, 6n CCX and
+# 18n op lines
+GATE_CACHE = 4096
+
 
 @dataclass(frozen=True)
 class GateOp:
     """One gate application. Controls are kept sorted (canonical form).
 
-    The touched indices, controls then target, are stored once as a
-    plain attribute (not a field), so equality, hash and repr see only
-    the three fields.
+    The touched indices, controls then target, and the highest of them
+    are stored once as plain attributes (not fields), so equality, hash
+    and repr see only the three fields. The constructor functions below
+    hand out one shared instance per distinct gate, which is safe
+    because a gate is frozen and compares by value.
     """
 
     kind: str
@@ -57,6 +66,7 @@ class GateOp:
             raise ValueError("mcx needs at least 3 controls; use cx/ccx below that")
         indices = self.controls + (self.target,)
         object.__setattr__(self, "_qubits", indices)
+        object.__setattr__(self, "_top", max(indices))
         if len(set(indices)) != len(indices):
             raise ValueError(f"gate indices must be distinct: {indices}")
         if any(q < 0 for q in indices):
@@ -67,29 +77,38 @@ class GateOp:
         return self._qubits
 
 
+@lru_cache(maxsize=GATE_CACHE)
 def h(target: int) -> GateOp:
     return GateOp("h", (), target)
 
 
+@lru_cache(maxsize=GATE_CACHE)
 def x(target: int) -> GateOp:
     return GateOp("x", (), target)
 
 
+@lru_cache(maxsize=GATE_CACHE)
 def z(target: int) -> GateOp:
     return GateOp("z", (), target)
 
 
+@lru_cache(maxsize=GATE_CACHE)
 def cx(control: int, target: int) -> GateOp:
     return GateOp("cx", (control,), target)
 
 
+@lru_cache(maxsize=GATE_CACHE)
 def ccx(control_a: int, control_b: int, target: int) -> GateOp:
     return GateOp("ccx", (control_a, control_b), target)
 
 
 def mcx(controls, target: int) -> GateOp:
     """Multi-controlled X. One or two controls normalize to cx/ccx."""
-    controls = tuple(controls)
+    return _mcx(tuple(controls), target)
+
+
+@lru_cache(maxsize=GATE_CACHE)
+def _mcx(controls: tuple[int, ...], target: int) -> GateOp:
     if len(controls) == 0:
         raise ValueError("mcx needs at least one control")
     if len(controls) == 1:
@@ -122,17 +141,16 @@ class Circuit:
         if not self.copies:
             self.block = []  # no op of a block run zero times is in the circuit
         ops = self.prologue + self.block
-        if ops and max(map(max, map(GateOp.qubits, ops))) >= self.width:
+        if ops and max(map(attrgetter("_top"), ops)) >= self.width:
             for op in ops:  # only to name the first offending gate
                 self._check_op(op)
         self.labels = {name: tuple(idx) for name, idx in self.labels.items()}
         self._check_labels()
 
     def _check_op(self, op: GateOp):
-        highest = max(op.qubits())
-        if highest >= self.width:
+        if op._top >= self.width:
             raise ValueError(
-                f"gate {op.kind} touches qubit {highest}, circuit width {self.width}"
+                f"gate {op.kind} touches qubit {op._top}, circuit width {self.width}"
             )
 
     def _check_labels(self):
@@ -185,12 +203,30 @@ def inverse(circuit: Circuit) -> Circuit:
 
 
 def _layer(level: list[int], ops: list[GateOp]):
-    """Place ``ops`` greedily on top of the per-qubit ``level`` list, in place."""
+    """Place ``ops`` greedily on top of the per-qubit ``level`` list, in place.
+
+    Gates on one, two or three qubits are placed inline, comparing
+    levels without a call to ``max``; only MCX takes the generic loop.
+    """
     for op in ops:
-        qs = op.qubits()
-        layer = 1 + max(map(level.__getitem__, qs))
-        for q in qs:
-            level[q] = layer
+        qs = op._qubits
+        arity = len(qs)
+        if arity == 1:
+            level[qs[0]] += 1
+        elif arity == 2:
+            a, b = qs
+            la, lb = level[a], level[b]
+            level[a] = level[b] = (la if la > lb else lb) + 1
+        elif arity == 3:
+            a, b, c = qs
+            la, lb, lc = level[a], level[b], level[c]
+            if lb > la:
+                la = lb
+            level[a] = level[b] = level[c] = (la if la > lc else lc) + 1
+        else:
+            layer = 1 + max(map(level.__getitem__, qs))
+            for q in qs:
+                level[q] = layer
 
 
 def depth(circuit: Circuit) -> int:
@@ -270,6 +306,7 @@ def decompose_mcx(circuit: Circuit) -> Circuit:
                    dict(circuit.labels), expand(circuit.block), circuit.copies)
 
 
+@lru_cache(maxsize=GATE_CACHE)
 def _op_line(op: GateOp) -> str:
     return " ".join([op.kind, *map(str, op.qubits())]) + "\n"
 

@@ -17,10 +17,15 @@ on the input qubits, which inverts amplitudes about the mean.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .arithmetic import SumLayout, build_triple_sum
-from .circuit import Circuit, h, mcx, x
+from .circuit import Circuit, GateOp, h, mcx, x
 from .errors import ConstraintError
+
+# register widths whose target-independent round parts, the triple sum's
+# ops and the diffuser's ops, one process keeps
+ROUND_CACHE = 8
 
 
 def reachable_bound(bits: int) -> int:
@@ -118,9 +123,11 @@ def build_oracle(bits: int, target: int) -> Circuit:
     """Sign flip on exactly the inputs with x + y + z = target.
 
     Width 3n+5: triple sum, equality query, then the triple sum's ops
-    reversed, which undo it (every adder gate is its own inverse). Needs
-    the last qubit (the Grover ancilla) prepared in |-> and all carry
-    and ancilla qubits in |0>; it returns them all unchanged.
+    reversed, which undo it (every adder gate is its own inverse). The
+    triple sum is built once per width; only the query depends on the
+    target. Needs the last qubit (the Grover ancilla) prepared in |->
+    and all carry and ancilla qubits in |0>; it returns them all
+    unchanged.
     """
     reachable = reachable_bound(bits)
     if not 0 <= target <= reachable:
@@ -130,20 +137,34 @@ def build_oracle(bits: int, target: int) -> Circuit:
         )
     width = 3 * bits + 5
     grover_ancilla = width - 1
-    adder, layout = build_triple_sum(bits, width=width)
+    adder, layout = _triple_sum(bits)
     query = build_query(layout, target, grover_ancilla, width=width)
-    return Circuit(width, adder.ops + query.ops + adder.ops[::-1])
+    return Circuit(width, [*adder, *query.ops, *adder[::-1]])
+
+
+@lru_cache(maxsize=ROUND_CACHE)
+def _triple_sum(bits: int) -> tuple[tuple[GateOp, ...], SumLayout]:
+    """The triple sum's ops and layout at ``bits``, built once per width."""
+    adder, layout = build_triple_sum(bits)
+    return tuple(adder.ops), layout
 
 
 def build_diffuser(input_qubits, grover_ancilla: int, width: int | None = None) -> Circuit:
     """Inversion about the mean over the input register, via kickback on the ancilla."""
     input_qubits = tuple(input_qubits)
+    ops = _diffuser_ops(input_qubits, grover_ancilla)
+    if width is None:
+        width = max(max(input_qubits), grover_ancilla) + 1
+    return Circuit(width, list(ops))
+
+
+@lru_cache(maxsize=ROUND_CACHE)
+def _diffuser_ops(input_qubits: tuple[int, ...], grover_ancilla: int) -> tuple[GateOp, ...]:
+    """The diffuser's ops, built and checked once per register."""
     if len(set(input_qubits)) != len(input_qubits):
         raise ValueError("input qubits must be distinct")
     if grover_ancilla in input_qubits:
         raise ValueError("grover ancilla collides with the input register")
-    if width is None:
-        width = max(max(input_qubits), grover_ancilla) + 1
     hs = [h(q) for q in input_qubits]
     xs = [x(q) for q in input_qubits]
-    return Circuit(width, hs + xs + [mcx(input_qubits, grover_ancilla)] + xs[::-1] + hs[::-1])
+    return (*hs, *xs, mcx(input_qubits, grover_ancilla), *xs[::-1], *hs[::-1])

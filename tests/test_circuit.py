@@ -3,6 +3,7 @@
 import pickle
 import time
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -359,7 +360,14 @@ def test_a_gate_keeps_its_qubit_tuple_outside_its_fields():
     assert op.qubits() == op.controls + (op.target,) == (1, 2, 0)
     assert op.qubits() is op.qubits()
     assert repr(op) == "GateOp(kind='ccx', controls=(1, 2), target=0)"
+    assert op._top == 2
+    assert [f.name for f in fields(op)] == ["kind", "controls", "target"]
     copied = pickle.loads(pickle.dumps(op))
     assert copied == op and hash(copied) == hash(op)
-    assert copied.qubits() == (1, 2, 0)
+    assert copied.qubits() == (1, 2, 0) and copied._top == 2
     assert {op: 1}[copied] == 1
+    # the constructors hand out one shared instance per distinct gate
+    assert cx(0, 1) is cx(0, 1)
+    assert mcx([0, 1, 2], 3) is mcx((0, 1, 2), 3)
+    assert ccx(2, 1, 0) == op and repr(ccx(2, 1, 0)) == repr(op)
+    assert hash(ccx(2, 1, 0)) == hash(op)

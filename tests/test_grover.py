@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qobf import grover
 from qobf.arithmetic import build_triple_sum, triple_sum_layout
 from qobf.circuit import Circuit, compose, gate_counts, h, inverse, mcx, x
 from qobf.errors import ConstraintError
@@ -300,3 +301,27 @@ def test_oracle_is_the_sum_the_query_and_the_sum_undone(bits):
         assert type(oracle) is Circuit
         assert oracle.width == width
         assert oracle.ops == compose(compose(adder, query), inverse(adder)).ops, target
+
+
+def test_appending_to_a_built_circuit_leaves_the_width_memo_alone():
+    # the oracle and the diffuser come from per-width memos; each call must
+    # hand out a fresh Circuit, so growing one cannot reach the next build
+    bits, target = 3, 11
+    width = 3 * bits + 5
+    inputs = tuple(range(3 * bits))
+
+    def builds():
+        return [build_oracle(bits, target), build_diffuser(inputs, width - 1, width=width),
+                build_triple_sum(bits)[0]]
+
+    grown = builds()
+    for built in grown:
+        size = len(built)
+        built.append(x(0))
+        assert len(built) == size + 1
+    again = builds()
+    assert grover._triple_sum.cache_info().hits and grover._diffuser_ops.cache_info().hits
+    grover._triple_sum.cache_clear()
+    grover._diffuser_ops.cache_clear()
+    assert again == builds()
+    assert all(len(a) + 1 == len(g) for a, g in zip(again, grown))
