@@ -2,20 +2,21 @@
 
 The gate set is exactly what the obfuscation pipeline needs: H, X, Z,
 CX, CCX and MCX (3+ controls). Every gate in the set is self-inverse,
-so inverting a circuit is reversing its op list.
+so inverting a circuit is reversing its op list. The gate
+constructors and ``parse`` take every gate from one bounded table,
+``_gate``: one instance per distinct gate, carrying its text line.
 
 Circuits are treated as immutable once built; builders hand over whole
 op lists, everyone else reads. A circuit is a ``prologue`` then
 ``copies`` of one ``block`` (a Grover circuit is a prologue plus R
 identical rounds; a flat one is all prologue), and ``ops``, the flat
-op list, is built on each read. Counts, MCX expansion and serialization do the per-op work
-on the prologue and one block only, and depth walks copies of the
-block only until one copy lifts every qubit it touches by the same
-amount. The textual format
-(serialize/parse) is line oriented:
-a ``width`` header, optional ``label <name> <i...>`` lines, then one
-lowercase op per line with controls listed before the target. ``#``
-starts a comment.
+op list, is built on each read. Counts, MCX expansion and
+serialization do the per-op work on the prologue and one block only,
+and depth walks copies of the block only until one copy lifts every
+qubit it touches by the same amount. The textual format
+(serialize/parse) is line oriented: a ``width`` header, optional
+``label <name> <i...>`` lines, then one lowercase op per line with
+controls listed before the target. ``#`` starts a comment.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ GATE_KINDS = ("h", "x", "z", "cx", "ccx", "mcx")
 # controls required per kind; mcx is checked as >= 3
 _ARITY = {"h": 0, "x": 0, "z": 0, "cx": 1, "ccx": 2}
 
-# distinct gates each gate constructor keeps, and op lines serialize
-# keeps; one build at register width n makes about 6n CX, 6n CCX and
-# 18n op lines
+# distinct gates the gate table keeps, across all kinds; one build at
+# register width n makes about 6n CX and 6n CCX
 GATE_CACHE = 4096
 
 
@@ -42,11 +42,10 @@ GATE_CACHE = 4096
 class GateOp:
     """One gate application. Controls are kept sorted (canonical form).
 
-    The touched indices, controls then target, and the highest of them
-    are stored once as plain attributes (not fields), so equality, hash
-    and repr see only the three fields. The constructor functions below
-    hand out one shared instance per distinct gate, which is safe
-    because a gate is frozen and compares by value.
+    The touched indices (controls then target), the highest of them and
+    the gate's text line are plain attributes, not fields, so equality,
+    hash and repr see only the three fields. ``_gate`` shares one
+    instance per distinct gate: a gate is frozen and compares by value.
     """
 
     kind: str
@@ -59,9 +58,7 @@ class GateOp:
         object.__setattr__(self, "controls", tuple(sorted(self.controls)))
         want = _ARITY.get(self.kind)
         if want is not None and len(self.controls) != want:
-            raise ValueError(
-                f"{self.kind} takes {want} controls, got {len(self.controls)}"
-            )
+            raise ValueError(f"{self.kind} takes {want} controls, got {len(self.controls)}")
         if self.kind == "mcx" and len(self.controls) < 3:
             raise ValueError("mcx needs at least 3 controls; use cx/ccx below that")
         indices = self.controls + (self.target,)
@@ -71,6 +68,7 @@ class GateOp:
             raise ValueError(f"gate indices must be distinct: {indices}")
         if any(q < 0 for q in indices):
             raise ValueError(f"gate indices must be non-negative: {indices}")
+        object.__setattr__(self, "_line", " ".join([self.kind, *map(str, indices)]) + "\n")
 
     def qubits(self) -> tuple[int, ...]:
         """All indices the gate touches, controls first."""
@@ -78,44 +76,38 @@ class GateOp:
 
 
 @lru_cache(maxsize=GATE_CACHE)
+def _gate(kind: str, controls: tuple[int, ...], target: int) -> GateOp:
+    """The gate table: one shared instance per distinct (kind, controls, target)."""
+    return GateOp(kind, controls, target)
+
+
 def h(target: int) -> GateOp:
-    return GateOp("h", (), target)
+    return _gate("h", (), target)
 
 
-@lru_cache(maxsize=GATE_CACHE)
 def x(target: int) -> GateOp:
-    return GateOp("x", (), target)
+    return _gate("x", (), target)
 
 
-@lru_cache(maxsize=GATE_CACHE)
 def z(target: int) -> GateOp:
-    return GateOp("z", (), target)
+    return _gate("z", (), target)
 
 
-@lru_cache(maxsize=GATE_CACHE)
 def cx(control: int, target: int) -> GateOp:
-    return GateOp("cx", (control,), target)
+    return _gate("cx", (control,), target)
 
 
-@lru_cache(maxsize=GATE_CACHE)
 def ccx(control_a: int, control_b: int, target: int) -> GateOp:
-    return GateOp("ccx", (control_a, control_b), target)
+    return _gate("ccx", (control_a, control_b), target)
 
 
 def mcx(controls, target: int) -> GateOp:
     """Multi-controlled X. One or two controls normalize to cx/ccx."""
-    return _mcx(tuple(controls), target)
-
-
-@lru_cache(maxsize=GATE_CACHE)
-def _mcx(controls: tuple[int, ...], target: int) -> GateOp:
-    if len(controls) == 0:
+    controls = tuple(controls)
+    if not controls:
         raise ValueError("mcx needs at least one control")
-    if len(controls) == 1:
-        return cx(controls[0], target)
-    if len(controls) == 2:
-        return ccx(controls[0], controls[1], target)
-    return GateOp("mcx", controls, target)
+    kind = "cx" if len(controls) == 1 else "ccx" if len(controls) == 2 else "mcx"
+    return _gate(kind, controls, target)
 
 
 @dataclass(eq=False)
@@ -143,25 +135,9 @@ class Circuit:
         ops = self.prologue + self.block
         if ops and max(map(attrgetter("_top"), ops)) >= self.width:
             for op in ops:  # only to name the first offending gate
-                self._check_op(op)
+                _check_gate(op, self.width)
         self.labels = {name: tuple(idx) for name, idx in self.labels.items()}
-        self._check_labels()
-
-    def _check_op(self, op: GateOp):
-        if op._top >= self.width:
-            raise ValueError(
-                f"gate {op.kind} touches qubit {op._top}, circuit width {self.width}"
-            )
-
-    def _check_labels(self):
-        seen: set[int] = set()
-        for name, indices in self.labels.items():
-            for q in indices:
-                if not 0 <= q < self.width:
-                    raise ValueError(f"label {name!r} index {q} out of range")
-                if q in seen:
-                    raise ValueError(f"label {name!r} overlaps another label at {q}")
-                seen.add(q)
+        _check_labels(self.labels, self.width, set())
 
     @property
     def ops(self) -> list[GateOp]:
@@ -169,7 +145,7 @@ class Circuit:
         return self.prologue + self.block * self.copies
 
     def append(self, op: GateOp):
-        self._check_op(op)
+        _check_gate(op, self.width)
         if self.copies:
             self.prologue, self.block, self.copies = self.ops, [], 0
         self.prologue.append(op)
@@ -184,6 +160,22 @@ class Circuit:
     def __eq__(self, other):
         return (isinstance(other, Circuit) and self.width == other.width
                 and self.labels == other.labels and self.ops == other.ops)
+
+
+def _check_gate(op: GateOp, width: int):
+    if op._top >= width:
+        raise ValueError(f"gate {op.kind} touches qubit {op._top}, circuit width {width}")
+
+
+def _check_labels(labels: dict[str, tuple[int, ...]], width: int, labelled: set[int]):
+    """Check labels against ``width`` and the qubits already ``labelled``; add theirs."""
+    for name, indices in labels.items():
+        for q in indices:
+            if not 0 <= q < width:
+                raise ValueError(f"label {name!r} index {q} out of range")
+            if q in labelled:
+                raise ValueError(f"label {name!r} overlaps another label at {q}")
+            labelled.add(q)
 
 
 def compose(a: Circuit, b: Circuit) -> Circuit:
@@ -306,11 +298,6 @@ def decompose_mcx(circuit: Circuit) -> Circuit:
                    dict(circuit.labels), expand(circuit.block), circuit.copies)
 
 
-@lru_cache(maxsize=GATE_CACHE)
-def _op_line(op: GateOp) -> str:
-    return " ".join([op.kind, *map(str, op.qubits())]) + "\n"
-
-
 def serialize(circuit: Circuit) -> str:
     """Render the textual format. Little-endian indices, ASCII, \\n endings.
 
@@ -320,8 +307,8 @@ def serialize(circuit: Circuit) -> str:
     lines = [f"width {circuit.width}\n"]
     for name, indices in circuit.labels.items():
         lines.append("label " + name + " " + " ".join(str(q) for q in indices) + "\n")
-    lines.extend(map(_op_line, circuit.prologue))
-    lines += ["".join(map(_op_line, circuit.block))] * circuit.copies
+    lines.extend(op._line for op in circuit.prologue)
+    lines += ["".join(op._line for op in circuit.block)] * circuit.copies
     return "".join(lines)
 
 
@@ -333,15 +320,18 @@ def _parse_int(token: str, line_number: int) -> int:
 
 
 def parse(text: str) -> Circuit:
-    """Inverse of serialize: parse(serialize(c)) == c structurally."""
+    """Inverse of serialize: parse(serialize(c)) == c structurally.
+
+    Gates come from ``_gate``. Errors name the line and token at fault.
+    """
     width = None
     ops: list[GateOp] = []
     labels: dict[str, tuple[int, ...]] = {}
+    labelled: set[int] = set()
     for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         head, rest = tokens[0], tokens[1:]
         if head == "width":
             if width is not None:
@@ -349,13 +339,23 @@ def parse(text: str) -> Circuit:
             if len(rest) != 1:
                 raise CircuitParseError("width takes one integer", line_number)
             width = _parse_int(rest[0], line_number)
+            if width < 1:
+                raise CircuitParseError("circuit width must be >= 1", line_number, rest[0])
             continue
         if width is None:
             raise CircuitParseError("width header must come first", line_number, head)
         if head == "label":
             if len(rest) < 2:
                 raise CircuitParseError("label needs a name and indices", line_number)
-            labels[rest[0]] = tuple(_parse_int(t, line_number) for t in rest[1:])
+            name = rest[0]
+            if name in labels:
+                raise CircuitParseError("duplicate label", line_number, name)
+            indices = tuple(_parse_int(t, line_number) for t in rest[1:])
+            try:
+                _check_labels({name: indices}, width, labelled)
+            except ValueError as exc:
+                raise CircuitParseError(str(exc), line_number, name) from None
+            labels[name] = indices
             continue
         if head not in GATE_KINDS:
             raise CircuitParseError("unknown op", line_number, head)
@@ -363,13 +363,11 @@ def parse(text: str) -> Circuit:
         if not indices:
             raise CircuitParseError("op needs a target index", line_number, head)
         try:
-            op = GateOp(head, tuple(indices[:-1]), indices[-1])
+            op = _gate(head, tuple(indices[:-1]), indices[-1])
+            _check_gate(op, width)
         except ValueError as exc:
             raise CircuitParseError(str(exc), line_number, head) from None
         ops.append(op)
     if width is None:
         raise CircuitParseError("missing width header", 1)
-    try:
-        return Circuit(width, ops, labels)
-    except ValueError as exc:
-        raise CircuitParseError(str(exc), 1) from None
+    return Circuit(width, ops, labels)

@@ -282,27 +282,29 @@ def _butterfly(amplitudes: np.ndarray, kind: str, bit: int, temp: np.ndarray):
 
 
 def _split(ops: list[GateOp], state: StateVector, compiled: dict) -> list:
-    """``ops`` as (permutes, ops) segments: maximal X/CX/CCX/MCX runs, and H/Z gates.
+    """``ops`` as steps: each H or Z gate, and each maximal X/CX/CCX/MCX run's (index, mask).
 
     Checks each H and Z on ``state``; compiles each run not yet in ``compiled``.
     """
     width = state.width
-    segments = []
+    steps = []
     for permutes, group in groupby(ops, key=lambda op: op.kind in _PERMUTATION_KINDS):
-        run = tuple(group)
-        segments.append((permutes, run))
         if permutes:
-            if run not in compiled:
-                compiled[run] = _compile_run(run, state)
+            run = tuple(group)
+            pair = compiled.get(run)
+            if pair is None:
+                pair = compiled[run] = _compile_run(run, state)
+            steps.append(pair)
             continue
-        for op in run:
+        for op in group:
             if op.target >= width:
                 raise ValueError(f"gate {op.kind} touches qubit {op.target}, state width {width}")
             if op.target >= state.stored:
                 raise ValueError(
                     f"qubit {op.target} carries an H or Z gate, but the state does not store it"
                 )
-    return segments
+            steps.append(op)
+    return steps
 
 
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
@@ -317,11 +319,12 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     gates is applied as one gather into a buffer of the state's size,
     also a run across the seam after the prologue or between copies of
     the block. Runs with the same ops are compiled once per call, all
-    before the first gate is applied. H and Z are applied gate by gate,
-    H in pieces of BUTTERFLY_CHUNK amplitudes. A run that flips the
-    state's ``minus`` qubit negates (as 0 - a), after the gather, the
-    amplitudes it brought over from the implied half. After an odd
-    number of gathers the amplitudes are copied back from the buffer.
+    before the first gate is applied, and each step holds its run's
+    gather, so applying the steps looks nothing up. H and Z are applied
+    gate by gate, H in pieces of BUTTERFLY_CHUNK amplitudes. A run that
+    flips the state's ``minus`` qubit negates (as 0 - a), after the
+    gather, the amplitudes it brought over from the implied half. After
+    an odd number of gathers the amplitudes are copied back.
 
     Raises ValueError, leaving the state as it was, for a width
     mismatch, a gate past the width, an H or Z on a qubit the state
@@ -330,9 +333,7 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """
     width = state.width
     if circuit.width != width:
-        raise ValueError(
-            f"circuit width {circuit.width} != state width {width}"
-        )
+        raise ValueError(f"circuit width {circuit.width} != state width {width}")
     # Each copy of the block is walked from its first H or Z, so a run across
     # a seam stays one run, as in the flat op list. A block with no H or Z
     # makes one run of every op after the prologue's last H or Z.
@@ -349,13 +350,12 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     spare = None
     # a butterfly's halves are at most half the state
     temp = np.empty(min(BUTTERFLY_CHUNK, amplitudes.size // 2), dtype=amplitudes.dtype)
-    steps = (step for segments, times in schedule for _ in range(times) for step in segments)
-    for permutes, ops in steps:
-        if not permutes:
-            for op in ops:
-                _butterfly(amplitudes, op.kind, op.target, temp)
+    steps = (step for segment, times in schedule for _ in range(times) for step in segment)
+    for step in steps:
+        if isinstance(step, GateOp):
+            _butterfly(amplitudes, step.kind, step.target, temp)
             continue
-        index, mask = compiled[ops]
+        index, mask = step
         if spare is None:
             spare = np.empty_like(amplitudes)
         for lo in range(0, index.size, _GATHER_BLOCK):

@@ -13,7 +13,11 @@ The cases cover the build path (``inspect`` in both formats, ``export``
 with and without ``--decompose`` and ``bench --plan-only``) at N=1..63,
 375..381 and 744..765; ``obfuscate --format json`` at N=1..63 with seed
 7 and at N=31 with 10^6 shots and three seeds; the README quick start;
-and the refusals that exit 2, 3 and 4.
+and the refusals that exit 2, 3 and 4. Beside them, the file holds the
+SHA-256 of the amplitudes ``simulate`` leaves at N=1..63 and 127,
+as little-endian complex128 bytes, so every stored amplitude is pinned
+bit for bit; N=255's digest is ``AMPLITUDES_255``, which the
+``QOBF_RUN_HEAVY`` leg of ``tests/test_acceptance.py`` checks.
 """
 
 from __future__ import annotations
@@ -27,10 +31,16 @@ import sys
 from pathlib import Path
 
 from qobf import cli
+from qobf.obfuscator import plan, simulate
 
 DATA = Path(__file__).resolve().parent / "golden_digests.json"
 
 BUILD_TARGETS = (*range(1, 64), *range(375, 382), *range(744, 766))
+
+AMPLITUDE_TARGETS = (*range(1, 64), 127)
+
+# simulate(plan(255))'s amplitudes, too slow to compute in tier-1 (about 6 s)
+AMPLITUDES_255 = "1731ed23f39a4c3a62a729fee4dd3c55fc94a0fea701a15926a979dfcae34a63"
 
 REFUSALS = (
     # exit 2: constraint violations
@@ -100,11 +110,21 @@ def digest(argv) -> str:
     return hashed.hexdigest()
 
 
+def amplitude_digest(state) -> str:
+    """SHA-256 of a state's stored amplitudes as little-endian complex128."""
+    return hashlib.sha256(state.amplitudes.astype("<c16").tobytes()).hexdigest()
+
+
 def compute() -> dict[str, str]:
-    """Case name (its argv joined by spaces) -> digest, for every case."""
-    return {" ".join(argv): digest(argv) for argv in cases()}
+    """Case name -> digest, for every CLI case (its argv joined by spaces)
+    and every ``simulate amplitudes N`` case."""
+    out = {" ".join(argv): digest(argv) for argv in cases()}
+    for n in AMPLITUDE_TARGETS:
+        out[f"simulate amplitudes {n}"] = amplitude_digest(simulate(plan(n))[0])
+    return out
 
 
 if __name__ == "__main__":
     DATA.write_text(json.dumps(compute(), indent=1) + "\n")
-    print(f"wrote {len(cases())} digests to {DATA}", file=sys.stderr)
+    print(f"wrote {len(cases()) + len(AMPLITUDE_TARGETS)} digests to {DATA}",
+          file=sys.stderr)

@@ -25,6 +25,7 @@ from qobf.obfuscator import build_full_circuit, plan, run, simulate, solution_pr
 from qobf.statevector import apply_gate, marginal_probabilities, run_circuit, zero_state
 from qobf.circuit import h as h_gate
 from qobf.circuit import x as x_gate
+import golden
 from states import fidelity
 from test_obfuscator import input_register_model
 from test_statevector import same_bits, scattered
@@ -207,6 +208,7 @@ def test_criterion_8_heavy_targets_complete(capsys):
         # N=255 in all three models: gate level, input register and closed form
         case = plan(255)
         state, _ = simulate(case)
+        assert golden.amplitude_digest(state) == golden.AMPLITUDES_255
         np.testing.assert_allclose(marginal_probabilities(state, case.input_qubits),
                                    input_register_model(case), rtol=0, atol=1e-11)
         assert abs(solution_probability(case, state) - case.theoretical_success) < 1e-9
