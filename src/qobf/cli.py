@@ -50,7 +50,7 @@ def _check_out(out_path: str | None):
         target, mode = out_path, os.W_OK  # an existing file: write permission on it alone
     except FileNotFoundError:
         target, mode = os.path.dirname(out_path) or ".", os.W_OK | os.X_OK  # a new one
-        if not os.path.isdir(target):
+        if not out_path or not os.path.isdir(target):  # open("") fails as os.stat("") did
             raise
     if not os.access(target, mode):
         raise OSError(errno.EACCES, os.strerror(errno.EACCES), out_path)

@@ -20,9 +20,11 @@ leave another unstored qubit set for some basis state: that state
 would need amplitudes the compact state does not hold.
 
 X, CX, CCX and MCX permute basis states, so ``run_circuit`` splits the
-op list into maximal runs of them and applies each run as one gather
-through a precomputed index array, built by pushing packed bit planes
-through the run's gates. A block (a Grover round) is cut at its first
+op list into maximal runs of them and applies each run in place: it
+moves only the amplitudes the run moves and negates only those it
+flips, both found by pushing packed bit planes through its gates. The
+pipeline's runs move nothing: the oracle's negates the M solutions,
+the diffuser's index 0. A block (a Grover round) is cut at its first
 H or Z into a head and a tail; only ``prologue + head``, ``tail +
 head`` (applied copies - 1 times) and ``tail`` are split into runs,
 each run compiled once per call before the first gate is applied. H
@@ -30,12 +32,13 @@ and Z are applied gate by gate on a (hi, 2, lo) view that splits the
 target's bit; H goes through it in pieces of BUTTERFLY_CHUNK
 amplitudes with one reused temporary, so each piece stays in cache.
 Every stored amplitude comes out bit for bit as gate-by-gate
-application on the dense state would leave it: the gathers only move
-values, the H butterfly does each amplitude's arithmetic in one fixed
-order, and a run that flips the ``minus`` qubit negates what it brings
-over from the implied half as 0 - a, which leaves a zero +0 as the
-dense run's (0 - v)/sqrt(2) does. Gate fusion and leaving out qubits
-that carry no information follow Haener & Steiger, arXiv:1704.01127.
+application on the dense state would leave it: moves only copy values,
+the H butterfly does each amplitude's arithmetic in one fixed order,
+and a run that flips the ``minus`` qubit negates what it brings over
+from the implied half as 0 - a, which leaves a zero +0 as the dense
+run's (0 - v)/sqrt(2) does. Gate fusion, diagonal runs as sign flips
+and leaving out qubits that carry no information follow Haener &
+Steiger, arXiv:1704.01127.
 
 Measurement is terminal sampling only. The marginal is read over a
 prefix of the stored qubits, 0..m-1, which for the pipeline are its
@@ -177,11 +180,6 @@ def zero_state(width: int, stored: int | None = None,
 
 _PERMUTATION_KINDS = frozenset({"x", "cx", "ccx", "mcx"})
 
-# np.take widens int32 indices to intp; gathering in blocks keeps that copy
-# small. The indices are in range, so mode="wrap" only spares the buffered
-# output that the default mode="raise" would make.
-_GATHER_BLOCK = 1 << 16
-
 # bit k of byte j in a little-endian packed plane is basis index 8j + k;
 # these are the planes of qubits 0, 1, 2, the same in every byte
 _LOW_PLANES = (0xAA, 0xCC, 0xF0)
@@ -195,13 +193,13 @@ def _initial_plane(qubit: int, nbytes: int) -> np.ndarray:
     return (bit * 0xFF).astype(np.uint8)
 
 
-def _compile_run(run: tuple[GateOp, ...],
-                 state: StateVector) -> tuple[np.ndarray, np.ndarray | None]:
-    """Gather index and sign mask of a run of X/CX/CCX/MCX gates on ``state``.
+def _compile_run(run: tuple[GateOp, ...], state: StateVector):
+    """(moves, flips) of a run of X/CX/CCX/MCX gates on ``state``.
 
-    new[j] = old[index[j]], negated where mask[j]. Indices have one bit
-    per stored qubit: qubit q is bit q. Every gate in the run is a
-    self-inverse basis permutation, so the source of basis index j is
+    new[dest] = old[src] for ``moves`` = (dest, src), the indices the
+    run moves (None if none), then new[flips] is negated. Indices have
+    one bit per stored qubit: qubit q is bit q. Every gate in the run is
+    a self-inverse basis permutation, so the source of basis index j is
     found by applying the gates to j in reverse order. The gates act on
     packed bit planes, one per touched qubit, 8 basis indices to a byte.
     A qubit at or above ``state.stored`` is not stored and is 0 in
@@ -209,8 +207,8 @@ def _compile_run(run: tuple[GateOp, ...],
     zero, some basis state would come out of the run with that qubit
     set, and a ValueError names the qubit. The ``minus`` qubit's plane
     also starts at zero; where it ends at one the source is in the
-    implied half. The mask is None when the run does not touch it. A
-    gate past the state's width raises a ValueError too.
+    implied half: those are the flips, None when the run does not touch
+    it. A gate past the state's width raises a ValueError too.
     """
     stored, minus = state.stored, state.minus
     size = 2**stored
@@ -242,18 +240,24 @@ def _compile_run(run: tuple[GateOp, ...],
             )
     # int32 holds half the memory of int64 and reaches every index below 2^31
     dtype = np.int32 if stored < 32 else np.int64
-    index = np.arange(size, dtype=dtype)
+    delta = None
     for q in touched:
         if q >= stored:
             continue
         moved = planes[q] ^ _initial_plane(q, nbytes)
         if moved.any():
+            if delta is None:
+                delta = np.zeros(size, dtype=dtype)
             bits = np.unpackbits(moved, count=size, bitorder="little")
-            index ^= np.left_shift(bits, q, dtype=dtype)
-    mask = None
+            delta ^= np.left_shift(bits, q, dtype=dtype)
+    moves = None
+    if delta is not None:
+        dest = np.flatnonzero(delta).astype(dtype)
+        moves = dest, dest ^ delta[dest]
+    flips = None
     if minus in touched:
-        mask = np.unpackbits(planes[minus], count=size, bitorder="little").view(bool)
-    return index, mask
+        flips = np.flatnonzero(np.unpackbits(planes[minus], count=size, bitorder="little"))
+    return moves, flips
 
 
 def _butterfly(amplitudes: np.ndarray, kind: str, bit: int, temp: np.ndarray):
@@ -282,18 +286,20 @@ def _butterfly(amplitudes: np.ndarray, kind: str, bit: int, temp: np.ndarray):
 
 
 def _split(ops: list[GateOp], state: StateVector, compiled: dict) -> list:
-    """``ops`` as steps: each H or Z gate, and each maximal X/CX/CCX/MCX run's (index, mask).
+    """``ops`` as steps: each H or Z gate, and each maximal X/CX/CCX/MCX run's (moves, flips).
 
-    Checks each H and Z on ``state``; compiles each run not yet in ``compiled``.
+    Checks each H and Z on ``state``; compiles each run not yet in ``compiled``,
+    keyed by its gates' ids, since the circuit holds them for the whole call.
     """
     width = state.width
     steps = []
     for permutes, group in groupby(ops, key=lambda op: op.kind in _PERMUTATION_KINDS):
         if permutes:
             run = tuple(group)
-            pair = compiled.get(run)
+            key = tuple(map(id, run))
+            pair = compiled.get(key)
             if pair is None:
-                pair = compiled[run] = _compile_run(run, state)
+                pair = compiled[key] = _compile_run(run, state)
             steps.append(pair)
             continue
         for op in group:
@@ -316,15 +322,14 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Apply the circuit's ops in order, in place, and return the state.
 
     Qubit q is index bit q throughout. Each maximal run of X/CX/CCX/MCX
-    gates is applied as one gather into a buffer of the state's size,
-    also a run across the seam after the prologue or between copies of
-    the block. Runs with the same ops are compiled once per call, all
-    before the first gate is applied, and each step holds its run's
-    gather, so applying the steps looks nothing up. H and Z are applied
-    gate by gate, H in pieces of BUTTERFLY_CHUNK amplitudes. A run that
-    flips the state's ``minus`` qubit negates (as 0 - a), after the
-    gather, the amplitudes it brought over from the implied half. After
-    an odd number of gathers the amplitudes are copied back.
+    gates, also one across the seam after the prologue or between copies
+    of the block, is applied in place: the amplitudes it moves are copied
+    to their new indices, then those it brought over from the ``minus``
+    qubit's implied half are negated as 0 - a. Runs with the same gates
+    are compiled once per call, all before the first gate is applied,
+    and each step holds its run's moves and flips, so applying the steps
+    looks nothing up. H and Z are applied gate by gate, H in pieces of
+    BUTTERFLY_CHUNK amplitudes.
 
     Raises ValueError, leaving the state as it was, for a width
     mismatch, a gate past the width, an H or Z on a qubit the state
@@ -343,11 +348,10 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     if cut is not None:
         head, tail = circuit.block[:cut], circuit.block[cut:]
         parts = [(circuit.prologue + head, 1), (tail + head, circuit.copies - 1), (tail, 1)]
-    compiled: dict[tuple[GateOp, ...], tuple[np.ndarray, np.ndarray | None]] = {}
+    compiled: dict[tuple[int, ...], tuple] = {}
     schedule = [(_split(part, state, compiled), times) for part, times in parts if times]
 
     amplitudes = state.amplitudes
-    spare = None
     # a butterfly's halves are at most half the state
     temp = np.empty(min(BUTTERFLY_CHUNK, amplitudes.size // 2), dtype=amplitudes.dtype)
     steps = (step for segment, times in schedule for _ in range(times) for step in segment)
@@ -355,17 +359,12 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
         if isinstance(step, GateOp):
             _butterfly(amplitudes, step.kind, step.target, temp)
             continue
-        index, mask = step
-        if spare is None:
-            spare = np.empty_like(amplitudes)
-        for lo in range(0, index.size, _GATHER_BLOCK):
-            block = slice(lo, lo + _GATHER_BLOCK)
-            np.take(amplitudes, index[block], out=spare[block], mode="wrap")
-            if mask is not None:
-                np.subtract(0.0, spare[block], out=spare[block], where=mask[block])
-        amplitudes, spare = spare, amplitudes
-    if amplitudes is not state.amplitudes:
-        np.copyto(state.amplitudes, amplitudes)
+        moves, flips = step
+        if moves is not None:
+            dest, src = moves
+            amplitudes[dest] = amplitudes[src]
+        if flips is not None:
+            amplitudes[flips] = 0.0 - amplitudes[flips]
     return state
 
 

@@ -12,6 +12,7 @@ QOBF_RUN_HEAVY=1 is set.
 import itertools
 import math
 import os
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -207,8 +208,16 @@ def test_criterion_8_heavy_targets_complete(capsys):
         assert all(float(r[6]) > 0.0 for r in rows)
         # N=255 in all three models: gate level, input register and closed form
         case = plan(255)
-        state, _ = simulate(case)
+        tracemalloc.start()
+        try:
+            state, _ = simulate(case)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert golden.amplitude_digest(state) == golden.AMPLITUDES_255
+        # the runs move nothing, so the peak is the 32 MiB stored state plus
+        # what compiling a run and the butterflies use beside it
+        assert peak <= 1.5 * state.amplitudes.nbytes, peak
         np.testing.assert_allclose(marginal_probabilities(state, case.input_qubits),
                                    input_register_model(case), rtol=0, atol=1e-11)
         assert abs(solution_probability(case, state) - case.theoretical_success) < 1e-9

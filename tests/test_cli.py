@@ -364,7 +364,7 @@ def test_unusable_out_exits_4_before_planning(tmp_path, capsys, monkeypatch, com
     monkeypatch.setattr(obfuscator, "plan", refuse)
     monkeypatch.setattr(obfuscator, "run", refuse)
     (tmp_path / "plain").write_text("")
-    for out in (tmp_path / "missing" / "h.txt", tmp_path, tmp_path / "plain" / "h.txt"):
+    for out in (tmp_path / "missing" / "h.txt", tmp_path, tmp_path / "plain" / "h.txt", ""):
         with pytest.raises(OSError) as opened:
             open(out, "w")
         code, stdout, err = invoke(capsys, command, "--n-value", "127", "--out", str(out))

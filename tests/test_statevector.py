@@ -8,6 +8,7 @@ from itertools import groupby
 import numpy as np
 import pytest
 
+from qobf import statevector
 from qobf.circuit import Circuit, GateOp, ccx, cx, h, mcx, x, z
 from qobf.errors import ConstraintError, ResourceLimitError
 from qobf.obfuscator import build_full_circuit, plan, simulate
@@ -293,7 +294,7 @@ def random_kickback_circuit(width, seed):
     return circuit
 
 
-# 18 qubits: 17 stored, two gather blocks
+# 18 qubits: 17 stored, so runs move and flip up to 2^17 amplitudes at once
 @pytest.mark.parametrize("width", [*range(2, 10), 18])
 def test_minus_qubit_equals_dense_gate_by_gate_reference(width):
     # the dense reference holds the |-> qubit's |1> half explicitly; the
@@ -308,7 +309,7 @@ def test_minus_qubit_equals_dense_gate_by_gate_reference(width):
         assert state.norm_error() < 1e-12
 
 
-# 17 qubits: a state of two gather blocks
+# 17 qubits: runs move up to 2^17 amplitudes at once
 @pytest.mark.parametrize("width", [*range(1, 10), 17])
 def test_random_mixed_circuit_equals_gate_by_gate_reference(width):
     for seed in range(4):
@@ -361,7 +362,7 @@ def outcome(state, circuit):
     return copy.amplitudes.view(np.uint64).tolist()
 
 
-# 17 qubits: a dense state of two gather blocks
+# 17 qubits: a dense state whose runs move up to 2^17 amplitudes at once
 @pytest.mark.parametrize("width", [*range(3, 10), 17])
 def test_repeated_circuit_runs_as_its_flat_op_list(width):
     # Dense states take any circuit; the compact ones hold the top qubit in
@@ -411,41 +412,80 @@ def permutation_runs(circuit):
 
 
 def test_run_circuit_memory_stays_within_budget():
-    # beside the state: a gather buffer of the same size, one int32 index
-    # (a quarter state) per distinct permutation run, one butterfly chunk,
-    # and under half a state of temporaries while a run compiles
+    # the dense state: the prologue's X on the phase ancilla moves every
+    # amplitude, and the other two runs under 2^12 of them. Beside the
+    # state: that X's int32 dest and src (half a state, kept for the call),
+    # the copy of the amplitudes it moves (the state's size), the intp
+    # copy numpy makes of one int32 index while it indexes (half a state
+    # at most; the compile's delta and dest stay under that), and one
+    # butterfly chunk
     circuit = build_full_circuit(plan(31))
     runs = permutation_runs(circuit)
     assert len(runs) == 3
     state = zero_state(circuit.width)
     size = state.amplitudes.nbytes
     chunk = BUTTERFLY_CHUNK * state.amplitudes.itemsize
-    assert traced_peak(state, circuit) <= size + len(runs) * size // 4 + size // 2 + chunk
-    # with no permutation run there is no gather buffer: only the butterfly
+    assert traced_peak(state, circuit) <= 2 * size + chunk
+    # with no permutation run nothing is moved or flipped: only the butterfly
     # temporary, the up to np.getbufsize() amplitudes that ufuncs buffer of
     # each of their three operands, and small objects (under 64 KiB). Any
     # state-sized allocation breaks this.
     layers = Circuit(circuit.width, [h(0), z(1), h(0)])
     buffered = 3 * min(chunk, np.getbufsize() * state.amplitudes.itemsize)
     assert traced_peak(state, layers) <= chunk + buffered + 2**16
-    # the pipeline's state: the 12 input qubits and the phase ancilla in
-    # |->, run without the prologue's X and H on it, which leaves two runs: a
-    # buffer and two indices at that width, each with a bool sign mask (a
-    # sixteenth of the state), since both flip the ancilla, and the
-    # butterfly temporary, here half the state; ufuncs on a piece's (rows,
-    # cols) views buffer up to np.getbufsize() amplitudes of each of their
-    # three operands. The runs compile before the buffer exists, so they
-    # stay below that.
+    # the pipeline's state at N=127: the 18 input qubits and the phase
+    # ancilla in |->, run without the prologue's X and H on it, which
+    # leaves two runs that move nothing and only flip signs. While a run
+    # compiles: a packed plane (a bit per amplitude) for each qubit it
+    # touches and two more as temporaries, numpy's int64 temporaries for
+    # one initial plane (three bytes per amplitude), the unpacked minus
+    # plane (a byte per amplitude) and the flip positions (8 bytes each:
+    # the M solutions, then index 0). While the steps run: the butterfly
+    # piece and the up to np.getbufsize() amplitudes that ufuncs buffer of
+    # each of its three operands. And small objects (under 64 KiB). That
+    # stays under the state's size, so any state-sized allocation breaks it.
+    case = plan(127)
+    circuit = build_full_circuit(case)
     body = Circuit(circuit.width, circuit.prologue[:-2], circuit.labels, circuit.block,
                    circuit.copies)
     runs = permutation_runs(body)
     assert len(runs) == 2
-    kicked = zero_state(circuit.width, stored=12, minus=circuit.width - 1)
-    size = kicked.amplitudes.nbytes
-    piece = min(BUTTERFLY_CHUNK * kicked.amplitudes.itemsize, size // 2)
-    buffered = 3 * min(piece, np.getbufsize() * kicked.amplitudes.itemsize)
-    assert traced_peak(kicked, body) <= (size + len(runs) * (size // 4 + size // 16)
-                                         + piece + buffered + 2**16)
+    kicked = zero_state(circuit.width, stored=3 * case.bits, minus=circuit.width - 1)
+    count, size = kicked.amplitudes.size, kicked.amplitudes.nbytes
+    itemsize = kicked.amplitudes.itemsize
+    compiling = ((circuit.width + 2) * count // 8 + 3 * count + count
+                 + 8 * (case.solution_count + 1))
+    piece = min(BUTTERFLY_CHUNK * itemsize, size // 2)
+    buffered = 3 * min(piece, np.getbufsize() * itemsize)
+    bound = compiling + piece + buffered + 2**16
+    assert bound < size
+    assert traced_peak(kicked, body) <= bound
+
+
+def test_each_pipeline_run_only_flips_signs(monkeypatch):
+    # simulate compiles two runs, whatever the round count: the oracle's
+    # negates the solution indices x + y*2^n + z*2^(2n) and the diffuser's
+    # index 0, and neither moves a stored amplitude
+    real = statevector._compile_run
+    compiled = []
+
+    def compile_run(run, state):
+        compiled.append(real(run, state))
+        return compiled[-1]
+
+    monkeypatch.setattr(statevector, "_compile_run", compile_run)
+    for target in (1, 7, 19, 31, 63):
+        compiled.clear()
+        case = plan(target)
+        simulate(case)
+        index = np.arange(case.space_size)
+        top = (1 << case.bits) - 1
+        total = (index & top) + (index >> case.bits & top) + (index >> 2 * case.bits)
+        assert len(compiled) == 2
+        (oracle_moves, oracle_flips), (diffuser_moves, diffuser_flips) = compiled
+        assert oracle_moves is None and diffuser_moves is None
+        assert oracle_flips.tolist() == np.flatnonzero(total == target).tolist()
+        assert diffuser_flips.tolist() == [0]
 
 
 @pytest.mark.parametrize("width", range(1, 7))
