@@ -21,6 +21,7 @@ controls listed before the target. ``#`` starts a comment.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -319,17 +320,25 @@ def _parse_int(token: str, line_number: int) -> int:
         raise CircuitParseError("expected an integer", line_number, token) from None
 
 
+# one line of text and the break that ends it, with str.splitlines' set of
+# breaks; the break is whitespace, so it never reaches a token
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE = re.compile(f"[^{_BREAKS}]*(?:\r\n|[{_BREAKS}])|[^{_BREAKS}]+")
+
+
 def parse(text: str) -> Circuit:
     """Inverse of serialize: parse(serialize(c)) == c structurally.
 
-    Gates come from ``_gate``. Errors name the line and token at fault.
+    Gates come from ``_gate``. Errors name the line and token at fault;
+    lines are numbered as ``text.splitlines()`` numbers them, but read
+    one at a time, so the text is never held as a list of lines.
     """
     width = None
     ops: list[GateOp] = []
     labels: dict[str, tuple[int, ...]] = {}
     labelled: set[int] = set()
-    for line_number, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
+    for line_number, line in enumerate(_LINE.finditer(text), start=1):
+        tokens = line[0].split("#", 1)[0].split()
         if not tokens:
             continue
         head, rest = tokens[0], tokens[1:]

@@ -27,18 +27,24 @@ pipeline's runs move nothing: the oracle's negates the M solutions,
 the diffuser's index 0. A block (a Grover round) is cut at its first
 H or Z into a head and a tail; only ``prologue + head``, ``tail +
 head`` (applied copies - 1 times) and ``tail`` are split into runs,
-each run compiled once per call before the first gate is applied. H
-and Z are applied gate by gate on a (hi, 2, lo) view that splits the
-target's bit; H goes through it in pieces of BUTTERFLY_CHUNK
-amplitudes with one reused temporary, so each piece stays in cache.
-Every stored amplitude comes out bit for bit as gate-by-gate
-application on the dense state would leave it: moves only copy values,
-the H butterfly does each amplitude's arithmetic in one fixed order,
-and a run that flips the ``minus`` qubit negates what it brings over
-from the implied half as 0 - a, which leaves a zero +0 as the dense
-run's (0 - v)/sqrt(2) does. Gate fusion, diagonal runs as sign flips
-and leaving out qubits that carry no information follow Haener &
-Steiger, arXiv:1704.01127.
+each run compiled once per call before the first gate is applied.
+The pipeline's H gates come as whole layers over its low qubits
+0..m-1, ascending (the prologue, the diffuser's first) or descending
+(the diffuser's last). Each such layer is one step: blocks of
+BUTTERFLY_CHUNK amplitudes take their bits in constant geometry
+(Pease, J. ACM 15(2), 1968), ping-ponging with one reused temporary
+through contiguous and stride-2 rows, and bits above a block go
+through the butterfly below. Every other H, and every Z, is applied
+gate by gate on a (hi, 2, lo) view that splits the target's bit, H in
+pieces of BUTTERFLY_CHUNK amplitudes. Every stored amplitude comes out
+bit for bit as gate-by-gate application on the dense state would
+leave it: moves only copy values, every H, in a layer or not, does
+each amplitude's arithmetic in one fixed order and in the gates'
+order, and a run that flips the ``minus`` qubit negates what it
+brings over from the implied half as 0 - a, which leaves a zero +0 as
+the dense run's (0 - v)/sqrt(2) does. Gate fusion, whole layers as
+one kernel, diagonal runs as sign flips and leaving out qubits that
+carry no information follow Haener & Steiger, arXiv:1704.01127.
 
 Measurement is terminal sampling only. The marginal is read over a
 prefix of the stored qubits, 0..m-1, which for the pipeline are its
@@ -265,7 +271,10 @@ def _butterfly(amplitudes: np.ndarray, kind: str, bit: int, temp: np.ndarray):
 
     H works through the halves a and b in pieces of at most
     ``temp.size`` amplitudes, with ``temp`` as the temporary, so
-    each piece is read and written while it is still in cache.
+    each piece is read and written while it is still in cache. A piece
+    that spans several rows of the view makes numpy buffer its strided
+    operands, which costs 2-3x a piece of one row; ``_layer`` avoids
+    that for the low bits of a whole layer, but a lone H on them pays it.
     """
     lo = 2**bit
     view = amplitudes.reshape(-1, 2, lo)
@@ -285,11 +294,95 @@ def _butterfly(amplitudes: np.ndarray, kind: str, bit: int, temp: np.ndarray):
             np.multiply(diff, _INV_SQRT2, out=b)
 
 
-def _split(ops: list[GateOp], state: StateVector, compiled: dict) -> list:
-    """``ops`` as steps: each H or Z gate, and each maximal X/CX/CCX/MCX run's (moves, flips).
+def _layer(amplitudes: np.ndarray, bits: range, temp: np.ndarray):
+    """H on index bits ``bits`` = 0..m-1, ascending or descending as given, in place.
 
-    Checks each H and Z on ``state``; compiles each run not yet in ``compiled``,
-    keyed by its gates' ids, since the circuit holds them for the whole call.
+    The state goes through in blocks of ``temp.size`` amplitudes, and
+    each block takes its bits in constant geometry (Pease, J. ACM 15(2),
+    1968), ping-ponging between the block and ``temp``. An ascending
+    step reads the pairs on the lowest bit at stride 2 and writes their
+    sums to the first half and their differences to the second, which
+    rotates the block's index bits down by one; a descending step is
+    its mirror image, from the two halves to stride 2. So every operand
+    is one contiguous or stride-2 row, which numpy never buffers. A
+    block that holds more bits than the layer is first (descending) or
+    last (ascending) turned by a transposing copy, so the steps come
+    back to its own order. Bits above the block go through
+    ``_butterfly`` on whole rows: first when descending, last when
+    ascending. Each amplitude gets fl(fl(a + b) * s) or fl(fl(a - b) * s)
+    in the gates' order, as ``_butterfly`` gives it.
+    """
+    block = temp.size
+    span = block.bit_length() - 1
+    low = min(len(bits), span)
+    descending = bits.step < 0
+    turn = 1 << low
+    half = block // 2
+    high = [bit for bit in bits if bit >= low]
+    if descending:
+        for bit in high:
+            _butterfly(amplitudes, "h", bit, temp)
+    for start in range(0, amplitudes.size, block):
+        chunk = amplitudes[start:start + block]
+        src, dst = chunk, temp
+        if descending and low < span:
+            # the layer's bits to the top of the block
+            dst.reshape(turn, -1)[...] = src.reshape(-1, turn).T
+            src, dst = dst, src
+        for _ in range(low):
+            if descending:
+                a, b = src[:half], src[half:]
+                np.add(a, b, out=dst[0::2])
+                np.subtract(a, b, out=dst[1::2])
+            else:
+                a, b = src[0::2], src[1::2]
+                np.add(a, b, out=dst[:half])
+                np.subtract(a, b, out=dst[half:])
+            dst *= _INV_SQRT2
+            src, dst = dst, src
+        if not descending and low < span:
+            # the layer's bits back from the top of the block
+            dst.reshape(-1, turn)[...] = src.reshape(turn, -1).T
+            src, dst = dst, src
+        if src is not chunk:
+            chunk[...] = src
+    if not descending:
+        for bit in high:
+            _butterfly(amplitudes, "h", bit, temp)
+
+
+def _layer_at(ops: list[GateOp], i: int) -> range | None:
+    """The bits of an H layer over qubits 0..m-1, m >= 2, that starts at ``ops[i]``.
+
+    Ascending, it is the longest run of H on qubits 0, 1, 2, ...;
+    descending, H on qubits m-1, m-2, ..., 0. None if neither starts there.
+    """
+    first = ops[i]
+    top = first.target
+    if first.kind != "h":
+        return None
+    if top == 0:
+        m = 1
+        while i + m < len(ops) and ops[i + m].kind == "h" and ops[i + m].target == m:
+            m += 1
+        return range(m) if m >= 2 else None
+    if i + top >= len(ops):
+        return None
+    for j in range(1, top + 1):
+        op = ops[i + j]
+        if op.kind != "h" or op.target != top - j:
+            return None
+    return range(top, -1, -1)
+
+
+def _split(ops: list[GateOp], state: StateVector, compiled: dict) -> list:
+    """``ops`` as steps: H layers, other H and Z gates, and X/CX/CCX/MCX runs' (moves, flips).
+
+    A layer is a maximal run of H gates on qubits 0..m-1 in ascending or
+    descending order, m >= 2, held as the range of its bits in gate order.
+    Checks each H and Z on ``state`` first; compiles each run not yet in
+    ``compiled``, keyed by its gates' ids, since the circuit holds them for
+    the whole call.
     """
     width = state.width
     steps = []
@@ -302,6 +395,7 @@ def _split(ops: list[GateOp], state: StateVector, compiled: dict) -> list:
                 pair = compiled[key] = _compile_run(run, state)
             steps.append(pair)
             continue
+        group = list(group)
         for op in group:
             if op.target >= width:
                 raise ValueError(f"gate {op.kind} touches qubit {op.target}, state width {width}")
@@ -309,7 +403,11 @@ def _split(ops: list[GateOp], state: StateVector, compiled: dict) -> list:
                 raise ValueError(
                     f"qubit {op.target} carries an H or Z gate, but the state does not store it"
                 )
-            steps.append(op)
+        i = 0
+        while i < len(group):
+            bits = _layer_at(group, i)
+            steps.append(group[i] if bits is None else bits)
+            i += 1 if bits is None else len(bits)
     return steps
 
 
@@ -328,8 +426,10 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     qubit's implied half are negated as 0 - a. Runs with the same gates
     are compiled once per call, all before the first gate is applied,
     and each step holds its run's moves and flips, so applying the steps
-    looks nothing up. H and Z are applied gate by gate, H in pieces of
-    BUTTERFLY_CHUNK amplitudes.
+    looks nothing up. A maximal run of H on qubits 0..m-1 in ascending or
+    descending order, m >= 2, is one ``_layer`` step; every other H and
+    every Z is applied gate by gate by ``_butterfly``. Both share one
+    temporary of min(BUTTERFLY_CHUNK, state size) amplitudes.
 
     Raises ValueError, leaving the state as it was, for a width
     mismatch, a gate past the width, an H or Z on a qubit the state
@@ -352,12 +452,15 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     schedule = [(_split(part, state, compiled), times) for part, times in parts if times]
 
     amplitudes = state.amplitudes
-    # a butterfly's halves are at most half the state
-    temp = np.empty(min(BUTTERFLY_CHUNK, amplitudes.size // 2), dtype=amplitudes.dtype)
+    # a layer's block, and a butterfly's piece of each half, at most the state
+    temp = np.empty(min(BUTTERFLY_CHUNK, amplitudes.size), dtype=amplitudes.dtype)
     steps = (step for segment, times in schedule for _ in range(times) for step in segment)
     for step in steps:
         if isinstance(step, GateOp):
             _butterfly(amplitudes, step.kind, step.target, temp)
+            continue
+        if isinstance(step, range):
+            _layer(amplitudes, step, temp)
             continue
         moves, flips = step
         if moves is not None:

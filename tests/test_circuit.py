@@ -241,6 +241,49 @@ def test_a_parsed_circuit_keeps_only_its_op_list():
     assert serialize(circuit) == text
 
 
+def test_parse_numbers_lines_as_splitlines_does_at_every_line_break():
+    # the text is read a line at a time, but a line ends wherever
+    # str.splitlines ends one: at \r\n (one break), \r, \v, \x85 and \u2028
+    # as at \n. An error names the line splitlines gives it, and its token.
+    lines = ["width 3", "label a 0 1", "h 0", "# note", "", "cx 0 1", "ccx 0 1 2", "h 2"]
+    breaks = ["\r\n", "\r", "\v", "\x85", "\u2028", "\n"]
+
+    def joined(lines):
+        return "".join(line + breaks[i % len(breaks)] for i, line in enumerate(lines))
+
+    assert serialize(parse(joined(lines))) == serialize(parse("\n".join(lines)))
+    for bad, token in [("h 7", "h"), ("swap 0 1", "swap"), ("cx 0 one", "one")]:
+        for at in range(1, len(lines) + 1):
+            text = joined([*lines[:at], bad, *lines[at:]])
+            with pytest.raises(CircuitParseError) as info:
+                parse(text)
+            line_number = text.splitlines().index(bad) + 1
+            assert (info.value.line_number, info.value.token) == (line_number, token), text
+    # \r then \r\n are two breaks, so an empty line lies between them
+    with pytest.raises(CircuitParseError) as info:
+        parse("width 2\r\r\nh 5")
+    assert info.value.line_number == 3
+
+
+def test_parse_peaks_near_its_op_list():
+    # N=255's expanded circuit is 4,235 op lines. Parsing holds the text,
+    # which the caller owns, one line at a time, the growing op list (twice
+    # its final size while a resize copies it) and small objects; the
+    # text's lines as one list of strings would be several times the list.
+    text = serialize(decompose_mcx(build_full_circuit(plan(255))))
+    parse(text)  # the gate table holds every gate from here on
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        circuit = parse(text)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * sys.getsizeof(circuit.prologue) + 2**16
+    assert serialize(circuit) == text
+
+
 def reference_depth(circuit):
     """Greedy ASAP layering over the flat op list, gate by gate."""
     level = [0] * circuit.width

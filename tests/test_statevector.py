@@ -488,6 +488,104 @@ def test_each_pipeline_run_only_flips_signs(monkeypatch):
         assert diffuser_flips.tolist() == [0]
 
 
+def signed_zero_state(width, seed):
+    """A random state with about a fifth of its real and imaginary parts +0.0 and as many -0.0."""
+    rng = np.random.default_rng(seed)
+    amplitudes = random_state(width, seed)
+    parts = amplitudes.view(np.float64)
+    parts[rng.random(parts.size) < 0.2] = 0.0
+    parts[rng.random(parts.size) < 0.25] = -0.0
+    return amplitudes
+
+
+# a layer over every stored qubit at m = 2..17, so blocks below, at and above
+# BUTTERFLY_CHUNK (2^14); and below the stored width, as on the dense traced
+# path (3n of 3n+5 qubits) and down to two bits of a 16-qubit block
+@pytest.mark.parametrize("descending", [False, True])
+@pytest.mark.parametrize("bits, width", [*((m, m) for m in range(2, 18)),
+                                         (9, 14), (12, 17), (15, 20), (2, 16), (5, 15)])
+def test_layer_equals_gate_by_gate_butterflies(bits, width, descending):
+    amplitudes = signed_zero_state(width, seed=100 * width + bits)
+    expected = amplitudes.copy()
+    # the temporary run_circuit gives both kernels
+    temp = np.empty(min(BUTTERFLY_CHUNK, amplitudes.size), dtype=amplitudes.dtype)
+    order = range(bits - 1, -1, -1) if descending else range(bits)
+    statevector._layer(amplitudes, order, temp)
+    for bit in order:
+        statevector._butterfly(expected, "h", bit, temp)
+    assert amplitudes.tobytes() == expected.tobytes()
+
+
+def layers_in(ops, state):
+    """The H layers ``run_circuit`` would make of ``ops`` on ``state``."""
+    return [step for step in statevector._split(ops, state, {}) if isinstance(step, range)]
+
+
+def test_only_h_on_qubits_0_to_m_in_order_makes_a_layer():
+    width = 8
+    ascending, descending = [h(q) for q in range(width)], [h(q) for q in reversed(range(width))]
+    cases = {
+        "ascending": (ascending, [range(width)]),
+        "descending": (descending, [range(width - 1, -1, -1)]),
+        "there and back, and again": (ascending[:3] + descending[-3:] + ascending[:2],
+                                      [range(3), range(2, -1, -1), range(2)]),
+        "above qubit 0": (ascending[1:], []),
+        "shuffled": ([h(q) for q in (3, 0, 5, 1, 7, 2, 6, 4)], []),
+        "a z inside": ([h(0), z(1), h(1), h(2), h(3)], []),
+        "stopping short of qubit 0": (descending[:-1], []),
+        "a lone h on qubit 0": ([x(1), h(0), x(1), h(0)], []),
+    }
+    for name, (ops, layers) in cases.items():
+        state = zero_state(width)
+        state.amplitudes[:] = signed_zero_state(width, seed=len(ops))
+        expected = reference_run(state.amplitudes, Circuit(width, ops))
+        assert layers_in(ops, state) == layers, name
+        run_circuit(state, Circuit(width, ops))
+        assert same_bits(state.amplitudes, expected), name
+
+
+def test_a_layer_over_an_unstored_qubit_is_refused_before_any_amplitude():
+    # qubits 6 and 7 are not stored, 8 is held in |->; each layer reaches
+    # qubit 6, and is refused as that one H would be
+    state = zero_state(9, stored=6, minus=8)
+    state.amplitudes[:] = signed_zero_state(6, seed=6) * np.sqrt(0.5)
+    message = outcome(state, Circuit(9, [h(6)]))
+    assert message == "qubit 6 carries an H or Z gate, but the state does not store it"
+    for ops in ([h(q) for q in range(8)], [h(q) for q in reversed(range(7))],
+                [h(0), h(1), x(0), *(h(q) for q in range(7))]):
+        assert outcome(state, Circuit(9, ops)) == message
+
+
+def test_simulate_applies_every_h_in_a_layer(monkeypatch):
+    # 2R + 1 layers over the 3n inputs: the prologue's, then per round the
+    # diffuser's two, ascending, then descending. _layer's own butterflies,
+    # on the bits above a block (N=63 stores 15 qubits), are not per-gate H
+    real_layer, real_butterfly = statevector._layer, statevector._butterfly
+    layers, gates, inside = [], [], []
+
+    def layer(amplitudes, bits, temp):
+        layers.append(bits)
+        inside.append(bits)
+        real_layer(amplitudes, bits, temp)
+        inside.pop()
+
+    def butterfly(amplitudes, kind, bit, temp):
+        if not inside:
+            gates.append((kind, bit))
+        real_butterfly(amplitudes, kind, bit, temp)
+
+    monkeypatch.setattr(statevector, "_layer", layer)
+    monkeypatch.setattr(statevector, "_butterfly", butterfly)
+    for target in (7, 31, 63):
+        layers.clear()
+        case = plan(target)
+        simulate(case)
+        inputs = 3 * case.bits
+        ascending, descending = range(inputs), range(inputs - 1, -1, -1)
+        assert layers == [ascending] + [ascending, descending] * case.iterations
+        assert gates == []
+
+
 @pytest.mark.parametrize("width", range(1, 7))
 def test_random_mixed_circuit_matches_dense_product(width):
     for seed in range(3):
