@@ -77,10 +77,6 @@ class SumLayout:
             raise ValueError(f"sum layout indices collide: {everything}")
 
     @property
-    def bits(self) -> int:
-        return len(self.x_qubits)
-
-    @property
     def sum_qubits(self) -> tuple[int, ...]:
         return self.z_qubits + (self.shared_ancilla, self.cout1)
 

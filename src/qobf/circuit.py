@@ -151,10 +151,6 @@ class Circuit:
             self.prologue, self.block, self.copies = self.ops, [], 0
         self.prologue.append(op)
 
-    def extend(self, ops):
-        for op in ops:
-            self.append(op)
-
     def __len__(self):
         return len(self.prologue) + len(self.block) * self.copies
 
@@ -177,17 +173,6 @@ def _check_labels(labels: dict[str, tuple[int, ...]], width: int, labelled: set[
             if q in labelled:
                 raise ValueError(f"label {name!r} overlaps another label at {q}")
             labelled.add(q)
-
-
-def compose(a: Circuit, b: Circuit) -> Circuit:
-    """New flat circuit running ``a`` then ``b``. Widths must match.
-
-    Labels come from ``a``; if ``a`` has none, ``b``'s are used.
-    """
-    if a.width != b.width:
-        raise ValueError(f"compose width mismatch: {a.width} != {b.width}")
-    labels = a.labels if a.labels else b.labels
-    return Circuit(a.width, a.ops + b.ops, dict(labels))
 
 
 def inverse(circuit: Circuit) -> Circuit:
@@ -231,18 +216,19 @@ def depth(circuit: Circuit) -> int:
     the levels of the qubits it touches max-plus linearly, and adding a
     constant to every level commutes with that map, so once one copy
     lifts every touched qubit by the same amount, every later copy does
-    too: the walk adds the remaining copies' rise at once and stops.
+    too: the walk adds the remaining copies' rise at once and stops. A
+    copy lifts each qubit it touches by at least 1 and every other qubit
+    by 0, so the touched qubits' rises are the nonzero ones.
     """
     level = [0] * circuit.width
     _layer(level, circuit.prologue)
-    touched = list({q for op in circuit.block for q in op.qubits()})
     for done in range(1, circuit.copies + 1):
-        before = [level[q] for q in touched]
+        before = level[:]
         _layer(level, circuit.block)
-        rises = [level[q] - b for q, b in zip(touched, before)]
-        if len(set(rises)) <= 1:  # uniform, or an empty block: so is every later copy
-            for q, rise in zip(touched, rises):
-                level[q] += (circuit.copies - done) * rise
+        rises = [now - then for now, then in zip(level, before)]
+        if len(set(rises) - {0}) <= 1:  # uniform, or an empty block: so is every later copy
+            left = circuit.copies - done
+            level = [now + left * rise for now, rise in zip(level, rises)]
             break
     return max(level)
 
@@ -344,9 +330,9 @@ def parse(text: str) -> Circuit:
         head, rest = tokens[0], tokens[1:]
         if head == "width":
             if width is not None:
-                raise CircuitParseError("duplicate width header", line_number)
+                raise CircuitParseError("duplicate width header", line_number, head)
             if len(rest) != 1:
-                raise CircuitParseError("width takes one integer", line_number)
+                raise CircuitParseError("width takes one integer", line_number, head)
             width = _parse_int(rest[0], line_number)
             if width < 1:
                 raise CircuitParseError("circuit width must be >= 1", line_number, rest[0])
@@ -355,7 +341,7 @@ def parse(text: str) -> Circuit:
             raise CircuitParseError("width header must come first", line_number, head)
         if head == "label":
             if len(rest) < 2:
-                raise CircuitParseError("label needs a name and indices", line_number)
+                raise CircuitParseError("label needs a name and indices", line_number, head)
             name = rest[0]
             if name in labels:
                 raise CircuitParseError("duplicate label", line_number, name)

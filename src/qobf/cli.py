@@ -220,13 +220,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_target_flags(p, bits_help):
+    def add_target_flags(p):
         p.add_argument("--n-value", type=int, required=True,
                        help="natural number to decompose")
-        p.add_argument("--bits", type=int, default=None, help=bits_help)
+        p.add_argument("--bits", type=int, default=None,
+                       help="bits per register (default: minimal width)")
 
     p_obf = sub.add_parser("obfuscate", help="run the pipeline and decode samples")
-    add_target_flags(p_obf, "bits per register (default: minimal width)")
+    add_target_flags(p_obf)
     p_obf.add_argument("--shots", type=int, default=obfuscator.DEFAULT_SHOTS)
     p_obf.add_argument("--seed", type=int, default=obfuscator.DEFAULT_SEED)
     p_obf.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -251,13 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.set_defaults(func=cmd_count)
 
     p_inspect = sub.add_parser("inspect", help="circuit metrics for one target")
-    add_target_flags(p_inspect, "bits per register (default: minimal width)")
+    add_target_flags(p_inspect)
     p_inspect.add_argument("--format", choices=("text", "json"), default="text",
                            help="output format (default: text)")
     p_inspect.set_defaults(func=cmd_inspect)
 
     p_export = sub.add_parser("export", help="write the circuit text format")
-    add_target_flags(p_export, "bits per register (default: minimal width)")
+    add_target_flags(p_export)
     p_export.add_argument("--out", default=None, help="write to this file")
     p_export.add_argument("--decompose", action="store_true",
                           help="expand multi-controlled X gates first")

@@ -97,7 +97,7 @@ def theoretical_success(space_size: int, solution_count: int, iterations: int) -
 
 
 def build_query(sum_layout: SumLayout, target: int, grover_ancilla: int,
-                width: int | None = None) -> Circuit:
+                width: int) -> Circuit:
     """Equality test of the sum register against ``target``, kicked onto the ancilla.
 
     X gates flip every sum qubit whose bit of ``target`` (little-endian,
@@ -113,8 +113,6 @@ def build_query(sum_layout: SumLayout, target: int, grover_ancilla: int,
         )
     if grover_ancilla in sum_qubits:
         raise ValueError("grover ancilla collides with the sum register")
-    if width is None:
-        width = max(max(sum_qubits), grover_ancilla) + 1
     flips = [x(q) for i, q in enumerate(sum_qubits) if not (target >> i) & 1]
     return Circuit(width, flips + [mcx(sum_qubits, grover_ancilla)] + flips[::-1])
 
@@ -149,13 +147,9 @@ def _triple_sum(bits: int) -> tuple[tuple[GateOp, ...], SumLayout]:
     return tuple(adder.ops), layout
 
 
-def build_diffuser(input_qubits, grover_ancilla: int, width: int | None = None) -> Circuit:
+def build_diffuser(input_qubits, grover_ancilla: int, width: int) -> Circuit:
     """Inversion about the mean over the input register, via kickback on the ancilla."""
-    input_qubits = tuple(input_qubits)
-    ops = _diffuser_ops(input_qubits, grover_ancilla)
-    if width is None:
-        width = max(max(input_qubits), grover_ancilla) + 1
-    return Circuit(width, list(ops))
+    return Circuit(width, list(_diffuser_ops(tuple(input_qubits), grover_ancilla)))
 
 
 @lru_cache(maxsize=ROUND_CACHE)

@@ -104,18 +104,13 @@ class StateVector:
     Bit k of an amplitude index is qubit k; every qubit at or above
     ``stored`` is |0>, except ``minus``, which is held in |->: the
     amplitude with it set is 0 - the stored amplitude with it clear.
-    ``stored`` defaults to ``width``, a dense state of 2^width
-    amplitudes.
+    A dense state stores all ``width`` qubits, 2^width amplitudes.
     """
 
     width: int
     amplitudes: np.ndarray
-    stored: int | None = None
+    stored: int
     minus: int | None = None
-
-    def __post_init__(self):
-        if self.stored is None:
-            self.stored = self.width
 
     def norm_error(self) -> float:
         """|sum of |amplitude|^2 - 1|, should stay below 1e-9.

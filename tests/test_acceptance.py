@@ -20,7 +20,7 @@ import pytest
 
 from qobf import cli
 from qobf.arithmetic import build_triple_sum
-from qobf.circuit import compose, decompose_mcx, depth, gate_counts, inverse, parse, serialize
+from qobf.circuit import Circuit, decompose_mcx, depth, gate_counts, inverse, parse, serialize
 from qobf.grover import build_oracle, count_solutions, theoretical_success
 from qobf.obfuscator import build_full_circuit, plan, run, simulate, solution_probability
 from qobf.statevector import apply_gate, marginal_probabilities, run_circuit, zero_state
@@ -159,7 +159,7 @@ def test_criterion_7_reversibility_and_round_trips(capsys):
             circuits.extend([adder, oracle])
         rng = np.random.default_rng(2024)
         for circuit in circuits:
-            undo = compose(circuit, inverse(circuit))
+            undo = Circuit(circuit.width, circuit.ops + inverse(circuit).ops)
             for _ in range(20):
                 amps = rng.normal(size=2 ** circuit.width)
                 amps = amps + 1j * rng.normal(size=2 ** circuit.width)

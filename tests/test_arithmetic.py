@@ -75,6 +75,8 @@ def test_adder_layout_validation():
         AdderLayout(a_qubits=(0,), b_qubits=(0,), ancilla=1, carry_out=2)
     with pytest.raises(ValueError):
         AdderLayout(a_qubits=(0,), b_qubits=(1,), ancilla=2, carry_out=2)
+    with pytest.raises(ValueError):
+        AdderLayout((), (), 0, 1)  # empty operands
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -126,7 +128,7 @@ def test_triple_sum_layout_is_contiguous():
     assert layout.cout1 == 11
     assert layout.adder2_ancilla == 12
     assert layout.sum_qubits == (6, 7, 8, 10, 11)
-    assert layout.bits == 3
+    assert len(layout.x_qubits) == 3
 
 
 def test_sum_layout_rejects_collisions():
@@ -135,6 +137,10 @@ def test_sum_layout_rejects_collisions():
             x_qubits=(0,), y_qubits=(1,), z_qubits=(2,),
             cout0=3, shared_ancilla=3, cout1=4, adder2_ancilla=5,
         )
+    with pytest.raises(ValueError):
+        triple_sum_layout(0)
+    with pytest.raises(ValueError):
+        build_triple_sum(0)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -156,7 +162,7 @@ def test_triple_sum_width_override():
     assert circuit.width == 15
     touched = {q for op in circuit.ops for q in op.qubits()}
     assert touched <= set(range(3 * 2 + 4))
-    assert layout.bits == 2
+    assert len(layout.x_qubits) == 2
 
 
 @given(st.integers(1, 16).flatmap(

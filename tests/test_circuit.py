@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qobf.circuit as circuit_module
 from qobf.circuit import (
     GATE_KINDS,
     Circuit,
     GateOp,
     ccx,
-    compose,
     cx,
     decompose_mcx,
     depth,
@@ -80,19 +80,14 @@ def test_circuit_validates_ops_and_labels():
     assert len(circuit) == 1
 
 
-def test_compose_and_inverse():
-    first = Circuit(2, [h(0)])
-    second = Circuit(2, [cx(0, 1)])
-    both = compose(first, second)
-    assert [op.kind for op in both.ops] == ["h", "cx"]
-    with pytest.raises(ValueError):
-        compose(first, Circuit(3))
+def test_inverse_reverses_the_op_list_and_undoes_the_circuit():
+    both = Circuit(2, [h(0), cx(0, 1)])
     undone = inverse(both)
     assert [op.kind for op in undone.ops] == ["cx", "h"]
     # every gate in the set is self-inverse, so this is exact identity
     state = zero_state(2)
     state.amplitudes[:] = [0.5, 0.5, 0.5, 0.5]
-    run_circuit(state, compose(both, undone))
+    run_circuit(state, Circuit(2, both.ops + undone.ops))
     np.testing.assert_allclose(state.amplitudes, [0.5] * 4, atol=1e-12)
 
 
@@ -191,10 +186,6 @@ def test_parse_error_reporting():
     assert info.value.line_number == 1
 
     with pytest.raises(CircuitParseError) as info:
-        parse("width 2\nwidth 2\n")
-    assert info.value.line_number == 2
-
-    with pytest.raises(CircuitParseError) as info:
         parse("width 2\nswap 0 1\n")
     assert info.value.token == "swap"
 
@@ -216,6 +207,11 @@ def test_parse_error_reporting():
         ("width 2\nlabel a 0\nlabel b 1 1\n", 3, "b"),
         ("width 2\nlabel a 0\nlabel a 1\n", 3, "a"),  # a label is defined once
         ("# note\nwidth 0\n", 2, "0"),
+        ("width 2\nwidth 2\n", 2, "width"),  # a header is given once
+        ("width 3 4\n", 1, "width"),
+        ("width 3\nlabel x\n", 2, "label"),  # no indices
+        ("width 3\nh\n", 2, "h"),  # no target
+        ("width 4\nmcx 0 1 2\n", 2, "mcx"),  # mcx takes 3 or more controls
     ]:
         with pytest.raises(CircuitParseError) as info:
             parse(text)
@@ -311,6 +307,17 @@ def test_depth_of_an_empty_block_returns_at_once():
     assert time.perf_counter() - start < 0.1
 
 
+def test_depth_stops_after_the_first_copy_that_lifts_its_qubits_alike(monkeypatch):
+    # qubits 2-4 are untouched and rise by 0; the first copy lifts 0 and 1
+    # by 1 each, so the walk stops there: the prologue, then one copy
+    walks = []
+    layer = circuit_module._layer
+    monkeypatch.setattr(circuit_module, "_layer",
+                        lambda level, ops: walks.append(len(ops)) or layer(level, ops))
+    assert depth(Circuit(5, [], block=[cx(0, 1)], copies=10**6)) == 10**6
+    assert len(walks) <= 3
+
+
 def flat(circuit):
     return Circuit(circuit.width, circuit.ops, dict(circuit.labels))
 
@@ -346,15 +353,15 @@ def test_append_flattens_the_block_and_metrics_stay_right():
     assert depth(circuit) == reference_depth(circuit) == 10
     assert gate_counts(circuit) == {"h": 2, "x": 0, "z": 0, "cx": 4, "ccx": 4,
                                     "mcx": 0, "total": 10}
-    circuit.extend([x(0)])
+    circuit.append(x(0))
     assert (circuit.block, circuit.copies) == ([], 0)
     assert serialize(circuit).endswith("h 2\nx 0\n")
 
 
-def test_inverse_and_compose_of_a_repeated_circuit_are_flat():
+def test_inverse_and_the_ops_of_a_repeated_circuit_are_flat():
     rounds = Circuit(5, [h(0), x(4)], block=[mcx((0, 1, 2), 3), cx(3, 4), h(1)], copies=6)
-    for derived in (inverse(rounds), compose(rounds, Circuit(5, [z(2)])),
-                    compose(Circuit(5, [z(2)]), rounds)):
+    for derived in (inverse(rounds), Circuit(5, rounds.ops + [z(2)]),
+                    Circuit(5, [z(2)] + rounds.ops)):
         assert derived.copies == 0
         assert depth(derived) == reference_depth(derived)
         assert gate_counts(derived)["mcx"] == 6

@@ -8,7 +8,7 @@ import pytest
 
 from qobf import grover
 from qobf.arithmetic import build_triple_sum, triple_sum_layout
-from qobf.circuit import Circuit, compose, gate_counts, h, inverse, mcx, x
+from qobf.circuit import Circuit, gate_counts, h, inverse, mcx, x
 from qobf.errors import ConstraintError
 from qobf.grover import (
     brute_force_solutions,
@@ -51,6 +51,8 @@ def test_count_solutions_input_validation():
         count_solutions(5, 0)
     with pytest.raises(ConstraintError):
         count_solutions(-1, 2)
+    with pytest.raises(ConstraintError):
+        brute_force_solutions(5, 0)
 
 
 def test_count_matches_brute_force_small():
@@ -130,16 +132,16 @@ def test_build_query_gate_pattern():
     assert [op.kind for op in bare.ops] == ["mcx"]
 
     with pytest.raises(ConstraintError):
-        build_query(layout, 32, grover_ancilla=13)
+        build_query(layout, 32, grover_ancilla=13, width=14)
     with pytest.raises(ValueError):
-        build_query(layout, 3, grover_ancilla=layout.sum_qubits[0])
+        build_query(layout, 3, grover_ancilla=layout.sum_qubits[0], width=14)
 
 
 def test_query_applied_twice_is_identity():
     layout = triple_sum_layout(1)
     width = 8
     query = build_query(layout, 3, grover_ancilla=7, width=width)
-    doubled = compose(query, query)
+    doubled = Circuit(width, query.ops + query.ops)
     rng = np.random.default_rng(3)
     amps = rng.normal(size=2 ** width) + 1j * rng.normal(size=2 ** width)
     amps /= np.linalg.norm(amps)
@@ -200,7 +202,7 @@ def test_oracle_squared_is_identity():
         amps /= np.linalg.norm(amps)
         state = zero_state(width)
         state.amplitudes[:] = amps
-        run_circuit(state, compose(oracle, oracle))
+        run_circuit(state, Circuit(width, oracle.ops + oracle.ops))
         np.testing.assert_allclose(state.amplitudes, amps, atol=1e-10)
 
 
@@ -210,9 +212,9 @@ def test_diffuser_structure():
     assert counts == {"h": 18, "x": 18, "z": 0, "cx": 0, "ccx": 0, "mcx": 1,
                       "total": 37}
     with pytest.raises(ValueError):
-        build_diffuser((0, 0, 1), 5)
+        build_diffuser((0, 0, 1), 5, width=6)
     with pytest.raises(ValueError):
-        build_diffuser((0, 1), 1)
+        build_diffuser((0, 1), 1, width=2)
 
 
 def test_diffuser_fixes_uniform_superposition():
@@ -238,7 +240,7 @@ def test_two_qubit_single_round_grover_is_exact():
     diffuser = build_diffuser((0, 1), 2, width=width)
     state = zero_state(width)
     run_circuit(state, Circuit(width, [h(0), h(1), x(2), h(2)]))
-    run_circuit(state, compose(mark, diffuser))
+    run_circuit(state, Circuit(width, mark.ops + diffuser.ops))
     probs = np.abs(state.amplitudes) ** 2
     p_marked = probs[0b010] + probs[0b110]  # flag qubit either way
     assert p_marked == pytest.approx(1.0, abs=1e-12)
@@ -291,7 +293,7 @@ def test_query_and_diffuser_hand_over_the_gate_by_gate_op_list(bits):
 
 @pytest.mark.parametrize("bits", [1, 2, 3, 7, 8])
 def test_oracle_is_the_sum_the_query_and_the_sum_undone(bits):
-    # the reference builds the same sandwich from checked Circuits with compose and inverse
+    # the reference builds the same sandwich from the checked adder, the query and inverse
     width = 3 * bits + 5
     adder, layout = build_triple_sum(bits, width=width)
     targets = range(3 * (2**bits - 1) + 1) if bits <= 3 else EDGE_TARGETS[bits]
@@ -300,7 +302,7 @@ def test_oracle_is_the_sum_the_query_and_the_sum_undone(bits):
         oracle = build_oracle(bits, target)
         assert type(oracle) is Circuit
         assert oracle.width == width
-        assert oracle.ops == compose(compose(adder, query), inverse(adder)).ops, target
+        assert oracle.ops == adder.ops + query.ops + inverse(adder).ops, target
 
 
 def test_appending_to_a_built_circuit_leaves_the_width_memo_alone():

@@ -148,7 +148,8 @@ def reference_full_circuit(case):
     diffuser = grover.build_diffuser(case.input_qubits, case.total_qubits - 1,
                                      width=case.total_qubits)
     for _ in range(case.iterations):
-        circuit.extend(oracle.ops + diffuser.ops)
+        for op in oracle.ops + diffuser.ops:
+            circuit.append(op)
     return circuit
 
 
@@ -358,6 +359,10 @@ def test_histogram_invariants_enforced():
     with pytest.raises(ValueError):
         DecodedHistogram(target=3, bits=1, iterations=2, shots=10,
                          valid_fraction=1.5, exact_success=0.5,
+                         entries={(1, 1, 1): 10})
+    with pytest.raises(ValueError):
+        DecodedHistogram(target=3, bits=1, iterations=2, shots=10,
+                         valid_fraction=0.5, exact_success=1.5,
                          entries={(1, 1, 1): 10})
 
 

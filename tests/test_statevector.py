@@ -103,13 +103,13 @@ def random_mixed_circuit(width, seed):
     """H/Z gates between permutation runs, several of which repeat."""
     rng = np.random.default_rng(seed)
     runs = [random_permutation_run(rng, width, int(rng.integers(1, 9))) for _ in range(3)]
-    circuit = Circuit(width)
+    ops = []
     for _ in range(12):
-        circuit.extend(runs[int(rng.integers(len(runs)))])
+        ops += runs[int(rng.integers(len(runs)))]
         for _ in range(int(rng.integers(0, 3))):
             gate = h if rng.random() < 0.7 else z
-            circuit.append(gate(int(rng.integers(width))))
-    return circuit
+            ops.append(gate(int(rng.integers(width))))
+    return Circuit(width, ops)
 
 
 def random_layered_circuit(width, seed, shape):
@@ -123,7 +123,7 @@ def random_layered_circuit(width, seed, shape):
     ends in either buffer.
     """
     rng = np.random.default_rng(seed)
-    circuit = Circuit(width)
+    ops = []
     for k in range(3 + seed % 2):
         if shape == "top":
             layer = [width - 1]
@@ -132,10 +132,10 @@ def random_layered_circuit(width, seed, shape):
         else:
             layer = np.flatnonzero(rng.random(width) < 0.6)
         for q in layer:
-            circuit.append((h if rng.random() < 0.8 else z)(int(q)))
-        circuit.extend(random_permutation_run(rng, width, int(rng.integers(1, 6))))
-    circuit.append(h(width - 1))
-    return circuit
+            ops.append((h if rng.random() < 0.8 else z)(int(q)))
+        ops += random_permutation_run(rng, width, int(rng.integers(1, 6)))
+    ops.append(h(width - 1))
+    return Circuit(width, ops)
 
 
 def same_bits(a, b):
@@ -281,17 +281,17 @@ def random_kickback_circuit(width, seed):
     """H/Z gates and permutation runs; the top qubit is only ever an X target."""
     rng = np.random.default_rng(seed)
     top = width - 1
-    circuit = Circuit(width)
+    ops = []
     for _ in range(12):
         run = random_permutation_run(rng, top, int(rng.integers(1, 5)))
         arity = int(rng.integers(0, min(top, 4) + 1))
         controls = [int(q) for q in rng.choice(top, size=arity, replace=False)]
         run.insert(int(rng.integers(len(run) + 1)), mcx(controls, top) if arity else x(top))
-        circuit.extend(run)
+        ops += run
         for _ in range(int(rng.integers(0, 3))):
             gate = h if rng.random() < 0.7 else z
-            circuit.append(gate(int(rng.integers(top))))
-    return circuit
+            ops.append(gate(int(rng.integers(top))))
+    return Circuit(width, ops)
 
 
 # 18 qubits: 17 stored, so runs move and flip up to 2^17 amplitudes at once
@@ -374,7 +374,7 @@ def test_repeated_circuit_runs_as_its_flat_op_list(width):
     for seed in range(8):
         amplitudes = random_state(width, seed)
         amplitudes[rng.random(amplitudes.size) < 0.3] = -0.0
-        dense = StateVector(width, amplitudes)
+        dense = StateVector(width, amplitudes, width)
         kicked = zero_state(width, stored=width - 1, minus=width - 1)
         kicked.amplitudes[:] = amplitudes[:kicked.amplitudes.size] * np.sqrt(0.5)
         narrow = zero_state(width, stored=width - 2, minus=width - 1)
