@@ -1,7 +1,7 @@
 """Exact statevector simulation of the {H, X, Z, CX, CCX, MCX} gate set.
 
-Amplitudes are complex128 and the basis convention is little-endian
-everywhere: bit k of an amplitude index (weight 2^k) is qubit k.
+Amplitudes are float64, as every gate and |0...0> is real; the basis
+is little-endian: bit k of an amplitude index (weight 2^k) is qubit k.
 
 A state need not hold every qubit. It stores the low
 ``StateVector.stored`` qubits; every qubit from there up is |0>,
@@ -57,7 +57,7 @@ the same outcome per uniform as one lookup of all of them, so identical
 (state, qubits, shots, seed) give an identical histogram on every
 platform.
 
-Widths above ``max_qubits()`` (default 26, about 1 GiB of dense
+Widths above ``max_qubits()`` (default 26, about 512 MiB of dense
 amplitudes) are refused; the cap is compared with the full width, not
 the stored one. Set QOBF_MAX_QUBITS to go bigger; a stored state that
 numpy then cannot allocate is refused with a ResourceLimitError.
@@ -81,7 +81,7 @@ SAMPLE_CHUNK = 1 << 18
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
-# amplitudes an H butterfly works on at a time: 256 KiB of complex128,
+# amplitudes an H butterfly works on at a time: 128 KiB of float64,
 # which stays in a core's L2 cache while the piece is read and written
 BUTTERFLY_CHUNK = 1 << 14
 
@@ -101,10 +101,10 @@ def max_qubits() -> int:
 class StateVector:
     """Pure state over ``width`` qubits, holding amplitudes for the low ``stored``.
 
-    Bit k of an amplitude index is qubit k; every qubit at or above
-    ``stored`` is |0>, except ``minus``, which is held in |->: the
-    amplitude with it set is 0 - the stored amplitude with it clear.
-    A dense state stores all ``width`` qubits, 2^width amplitudes.
+    Amplitudes are float64, as every gate and |0...0> is real. Bit k of
+    an amplitude index is qubit k; every qubit at or above ``stored`` is
+    |0>, except ``minus``, which is held in |->: the amplitude with it
+    set is 0 - the stored amplitude with it clear.
     """
 
     width: int
@@ -113,11 +113,11 @@ class StateVector:
     minus: int | None = None
 
     def norm_error(self) -> float:
-        """|sum of |amplitude|^2 - 1|, should stay below 1e-9.
+        """|sum of amplitude^2 - 1|, should stay below 1e-9.
 
         The implied half of a ``minus`` qubit counts as much as the stored one.
         """
-        total = float(np.sum(self.amplitudes.real**2 + self.amplitudes.imag**2))
+        total = float(np.sum(self.amplitudes * self.amplitudes))
         if self.minus is not None:
             total *= 2.0
         return abs(total - 1.0)
@@ -167,13 +167,14 @@ def zero_state(width: int, stored: int | None = None,
         raise ValueError(f"stored qubit count {stored} must be in 0..{width}")
     if minus is not None and not stored <= minus < width:
         raise ValueError(f"minus qubit {minus} must be unstored and below width {width}")
+    dtype = np.dtype(np.float64)
     try:
-        amplitudes = np.zeros(2**stored, dtype=np.complex128)
+        amplitudes = np.zeros(2**stored, dtype=dtype)
     except (ValueError, MemoryError):
         raise ResourceLimitError(
-            f"width {width} stores {stored} qubits: {16 * 2**stored} bytes of amplitudes, "
-            f"more than numpy can allocate (QOBF_MAX_QUBITS={max_qubits()} lets that "
-            f"width past the qubit cap)"
+            f"width {width} stores {stored} qubits: {dtype.itemsize * 2**stored} bytes of "
+            f"amplitudes, more than numpy can allocate (QOBF_MAX_QUBITS={max_qubits()} lets "
+            f"that width past the qubit cap)"
         ) from None
     amplitudes[0] = 1.0 if minus is None else _INV_SQRT2
     return StateVector(width, amplitudes, stored, minus)
@@ -190,8 +191,9 @@ def _initial_plane(qubit: int, nbytes: int) -> np.ndarray:
     """Packed bit ``qubit`` of every basis index 0 .. 8*nbytes - 1."""
     if qubit < 3:
         return np.full(nbytes, _LOW_PLANES[qubit], dtype=np.uint8)
-    bit = (np.arange(nbytes) >> (qubit - 3)) & 1
-    return (bit * 0xFF).astype(np.uint8)
+    plane = np.zeros(nbytes, dtype=np.uint8)
+    plane.reshape(-1, 2, 1 << (qubit - 3))[:, 1] = 0xFF
+    return plane
 
 
 def _compile_run(run: tuple[GateOp, ...], state: StateVector):
@@ -472,7 +474,7 @@ def marginal_probabilities(state: StateVector, qubits) -> np.ndarray:
     ``qubits`` must be exactly ``0, 1, ..., m-1`` in that order, with
     1 <= m <= ``state.stored``; anything else raises a ValueError that
     names it. Bit k of the returned array's index is qubit k. With m
-    equal to ``stored`` it is |a|^2 of the stored amplitudes itself;
+    equal to ``stored`` it is a^2 of the stored amplitudes itself;
     below that, the sum over the high stored qubits. Every unstored
     qubit is 0 in every outcome, except the ``minus`` qubit, whose two
     outcomes carry the same probability, so the marginal is doubled,
@@ -485,7 +487,7 @@ def marginal_probabilities(state: StateVector, qubits) -> np.ndarray:
             f"the marginal reads the low stored qubits 0..m-1 in order with "
             f"1 <= m <= {state.stored}, got qubits {qubits}"
         )
-    probs = state.amplitudes.real**2 + state.amplitudes.imag**2
+    probs = state.amplitudes * state.amplitudes
     if m < state.stored:
         probs = probs.reshape(-1, 2**m).sum(axis=0)
     # probs is this call's own array, so it may be scaled in place
@@ -531,8 +533,6 @@ def sample(state: StateVector, qubits, shots: int, seed: int) -> Histogram:
     qubits = list(qubits)
     counts = sample_counts(marginal_probabilities(state, qubits), shots, seed)
     m = len(qubits)
-    entries = {
-        format(int(i), f"0{m}b"): int(counts[i]) for i in np.flatnonzero(counts)
-    }
+    entries = {format(int(i), f"0{m}b"): int(counts[i]) for i in np.flatnonzero(counts)}
     return Histogram(m, entries, shots)
 

@@ -15,8 +15,10 @@ with and without ``--decompose`` and ``bench --plan-only``) at N=1..63,
 7 and at N=31 with 10^6 shots and three seeds; the README quick start;
 and the refusals that exit 2, 3 and 4. Beside them, the file holds the
 SHA-256 of the amplitudes ``simulate`` leaves at N=1..63 and 127,
-as little-endian complex128 bytes, so every stored amplitude is pinned
-bit for bit; N=255's digest is ``AMPLITUDES_255``, which the
+so every stored amplitude is pinned bit for bit. They are real float64
+and are hashed cast to little-endian complex128 (``<c16``), with +0.0
+imaginary parts, so the digests made while the state was complex128
+carry over. N=255's digest is ``AMPLITUDES_255``, which the
 ``QOBF_RUN_HEAVY`` leg of ``tests/test_acceptance.py`` checks.
 """
 
@@ -111,7 +113,7 @@ def digest(argv) -> str:
 
 
 def amplitude_digest(state) -> str:
-    """SHA-256 of a state's stored amplitudes as little-endian complex128."""
+    """SHA-256 of a state's stored amplitudes, cast to little-endian complex128."""
     return hashlib.sha256(state.amplitudes.astype("<c16").tobytes()).hexdigest()
 
 

@@ -5,7 +5,7 @@ PASS/FAIL line straight to the terminal (bypassing capture) so the
 verdicts are visible in any log. The heavy-simulation leg of criterion 8
 (the 23 and 26 qubit targets, N=255 checked against the input-register
 model and the closed form, plus a full-width N=127 run to compare
-against: about 37 s and 400 MiB peak RSS) only runs when
+against: about 12 s and 290 MiB peak RSS) only runs when
 QOBF_RUN_HEAVY=1 is set.
 """
 
@@ -23,7 +23,13 @@ from qobf.arithmetic import build_triple_sum
 from qobf.circuit import Circuit, decompose_mcx, depth, gate_counts, inverse, parse, serialize
 from qobf.grover import build_oracle, count_solutions, theoretical_success
 from qobf.obfuscator import build_full_circuit, plan, run, simulate, solution_probability
-from qobf.statevector import apply_gate, marginal_probabilities, run_circuit, zero_state
+from qobf.statevector import (
+    BUTTERFLY_CHUNK,
+    apply_gate,
+    marginal_probabilities,
+    run_circuit,
+    zero_state,
+)
 from qobf.circuit import h as h_gate
 from qobf.circuit import x as x_gate
 import golden
@@ -115,10 +121,10 @@ def test_criterion_4_oracle_phase_property(capsys):
                 y_val = (index >> 2) & 3
                 z_val = (index >> 4) & 3
                 if x_val + y_val + z_val == target:
-                    assert overlap.real < 0
+                    assert overlap < 0
                     flipped += 1
                 else:
-                    assert overlap.real > 0
+                    assert overlap > 0
             assert flipped == count_solutions(target, bits)
 
 
@@ -162,7 +168,6 @@ def test_criterion_7_reversibility_and_round_trips(capsys):
             undo = Circuit(circuit.width, circuit.ops + inverse(circuit).ops)
             for _ in range(20):
                 amps = rng.normal(size=2 ** circuit.width)
-                amps = amps + 1j * rng.normal(size=2 ** circuit.width)
                 amps /= np.linalg.norm(amps)
                 state = zero_state(circuit.width)
                 state.amplitudes[:] = amps
@@ -215,9 +220,16 @@ def test_criterion_8_heavy_targets_complete(capsys):
         finally:
             tracemalloc.stop()
         assert golden.amplitude_digest(state) == golden.AMPLITUDES_255
-        # the runs move nothing, so the peak is the 32 MiB stored state plus
-        # what compiling a run and the butterflies use beside it
-        assert peak <= 1.5 * state.amplitudes.nbytes, peak
+        # the runs move nothing, so the peak is the 16 MiB stored state plus,
+        # while a run compiles, a packed plane (a bit per amplitude) for each
+        # qubit it touches and two more as temporaries, the unpacked minus
+        # plane (a byte per amplitude) and the flip positions (8 bytes each),
+        # or, while the steps run, the butterfly piece and the ufunc buffers
+        # of its three operands; and small objects (under 64 KiB)
+        count, itemsize = state.amplitudes.size, state.amplitudes.itemsize
+        compiling = (case.total_qubits + 2) * count // 8 + count + 8 * (case.solution_count + 1)
+        stepping = BUTTERFLY_CHUNK * itemsize + 3 * np.getbufsize() * itemsize
+        assert peak <= count * itemsize + compiling + stepping + 2**16, peak
         np.testing.assert_allclose(marginal_probabilities(state, case.input_qubits),
                                    input_register_model(case), rtol=0, atol=1e-11)
         assert abs(solution_probability(case, state) - case.theoretical_success) < 1e-9

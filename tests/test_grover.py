@@ -143,7 +143,7 @@ def test_query_applied_twice_is_identity():
     query = build_query(layout, 3, grover_ancilla=7, width=width)
     doubled = Circuit(width, query.ops + query.ops)
     rng = np.random.default_rng(3)
-    amps = rng.normal(size=2 ** width) + 1j * rng.normal(size=2 ** width)
+    amps = rng.normal(size=2 ** width)
     amps /= np.linalg.norm(amps)
     state = zero_state(width)
     state.amplitudes[:] = amps
@@ -163,7 +163,7 @@ def oracle_sign_on_basis_state(oracle, bits, index):
     run_circuit(state, oracle)
     overlap = np.vdot(reference, state.amplitudes)
     assert abs(abs(overlap) - 1.0) < 1e-12, "oracle must act as +/-1 here"
-    return 1 if overlap.real > 0 else -1
+    return 1 if overlap > 0 else -1
 
 
 def test_oracle_diagonal_sign_pattern_exhaustive_n1():
@@ -198,7 +198,7 @@ def test_oracle_squared_is_identity():
     width = oracle.width
     rng = np.random.default_rng(8)
     for trial in range(5):
-        amps = rng.normal(size=2 ** width) + 1j * rng.normal(size=2 ** width)
+        amps = rng.normal(size=2 ** width)
         amps /= np.linalg.norm(amps)
         state = zero_state(width)
         state.amplitudes[:] = amps

@@ -54,9 +54,9 @@ def dense_controlled_x(controls, target, width):
 
 def random_state(width, seed):
     rng = np.random.default_rng(seed)
-    amps = rng.normal(size=2 ** width) + 1j * rng.normal(size=2 ** width)
+    amps = rng.normal(size=2 ** width)
     amps /= np.linalg.norm(amps)
-    return amps.astype(np.complex128)
+    return amps
 
 
 def reference_apply(amplitudes, width, gate):
@@ -150,7 +150,7 @@ def scattered(state):
     half, the way ``run_circuit`` negates.
     """
     index = np.arange(state.amplitudes.size)
-    dense = np.zeros(2**state.width, dtype=np.complex128)
+    dense = np.zeros(2**state.width)
     dense[index] = state.amplitudes
     if state.minus is not None:
         dense[index | 1 << state.minus] = 0.0 - state.amplitudes
@@ -414,33 +414,33 @@ def permutation_runs(circuit):
 def test_run_circuit_memory_stays_within_budget():
     # the dense state: the prologue's X on the phase ancilla moves every
     # amplitude, and the other two runs under 2^12 of them. Beside the
-    # state: that X's int32 dest and src (half a state, kept for the call),
-    # the copy of the amplitudes it moves (the state's size), the intp
-    # copy numpy makes of one int32 index while it indexes (half a state
-    # at most; the compile's delta and dest stay under that), and one
-    # butterfly chunk
+    # state, per amplitude: that X's int32 dest and src (kept for the
+    # call), the copy of the amplitudes it moves (the state's itemsize)
+    # and the intp copy numpy makes of one int32 index while it indexes
+    # (the compile's delta and dest stay under that); and one butterfly
+    # chunk. That is 24 bytes per amplitude, a chunk aside.
     circuit = build_full_circuit(plan(31))
     runs = permutation_runs(circuit)
     assert len(runs) == 3
     state = zero_state(circuit.width)
-    size = state.amplitudes.nbytes
-    chunk = BUTTERFLY_CHUNK * state.amplitudes.itemsize
-    assert traced_peak(state, circuit) <= 2 * size + chunk
+    count, itemsize = state.amplitudes.size, state.amplitudes.itemsize
+    chunk = BUTTERFLY_CHUNK * itemsize
+    per_amplitude = 4 + 4 + itemsize + np.dtype(np.intp).itemsize
+    assert traced_peak(state, circuit) <= per_amplitude * count + chunk
     # with no permutation run nothing is moved or flipped: only the butterfly
     # temporary, the up to np.getbufsize() amplitudes that ufuncs buffer of
     # each of their three operands, and small objects (under 64 KiB). Any
     # state-sized allocation breaks this.
     layers = Circuit(circuit.width, [h(0), z(1), h(0)])
-    buffered = 3 * min(chunk, np.getbufsize() * state.amplitudes.itemsize)
+    buffered = 3 * min(chunk, np.getbufsize() * itemsize)
     assert traced_peak(state, layers) <= chunk + buffered + 2**16
     # the pipeline's state at N=127: the 18 input qubits and the phase
     # ancilla in |->, run without the prologue's X and H on it, which
     # leaves two runs that move nothing and only flip signs. While a run
     # compiles: a packed plane (a bit per amplitude) for each qubit it
-    # touches and two more as temporaries, numpy's int64 temporaries for
-    # one initial plane (three bytes per amplitude), the unpacked minus
-    # plane (a byte per amplitude) and the flip positions (8 bytes each:
-    # the M solutions, then index 0). While the steps run: the butterfly
+    # touches and two more as temporaries, the unpacked minus plane (a
+    # byte per amplitude) and the flip positions (8 bytes each: the M
+    # solutions, then index 0). While the steps run: the butterfly
     # piece and the up to np.getbufsize() amplitudes that ufuncs buffer of
     # each of its three operands. And small objects (under 64 KiB). That
     # stays under the state's size, so any state-sized allocation breaks it.
@@ -453,8 +453,7 @@ def test_run_circuit_memory_stays_within_budget():
     kicked = zero_state(circuit.width, stored=3 * case.bits, minus=circuit.width - 1)
     count, size = kicked.amplitudes.size, kicked.amplitudes.nbytes
     itemsize = kicked.amplitudes.itemsize
-    compiling = ((circuit.width + 2) * count // 8 + 3 * count + count
-                 + 8 * (case.solution_count + 1))
+    compiling = (circuit.width + 2) * count // 8 + count + 8 * (case.solution_count + 1)
     piece = min(BUTTERFLY_CHUNK * itemsize, size // 2)
     buffered = 3 * min(piece, np.getbufsize() * itemsize)
     bound = compiling + piece + buffered + 2**16
@@ -489,12 +488,11 @@ def test_each_pipeline_run_only_flips_signs(monkeypatch):
 
 
 def signed_zero_state(width, seed):
-    """A random state with about a fifth of its real and imaginary parts +0.0 and as many -0.0."""
+    """A random state with about a fifth of its amplitudes +0.0 and as many -0.0."""
     rng = np.random.default_rng(seed)
     amplitudes = random_state(width, seed)
-    parts = amplitudes.view(np.float64)
-    parts[rng.random(parts.size) < 0.2] = 0.0
-    parts[rng.random(parts.size) < 0.25] = -0.0
+    amplitudes[rng.random(amplitudes.size) < 0.2] = 0.0
+    amplitudes[rng.random(amplitudes.size) < 0.25] = -0.0
     return amplitudes
 
 
@@ -667,6 +665,18 @@ def test_zero_and_basis_state_shapes():
             zero_state(3, stored=2, minus=bad)
 
 
+@pytest.mark.parametrize("target", [1, 31, 127])
+def test_states_hold_float64_amplitudes(target):
+    # every gate and |0...0> are real, so the state is too; a complex
+    # value written into it is an error (pyproject's filterwarnings)
+    case = plan(target)
+    assert zero_state(case.total_qubits).amplitudes.dtype == np.float64
+    state, _ = simulate(case)
+    assert state.amplitudes.dtype == np.float64
+    with pytest.raises(np.exceptions.ComplexWarning):
+        state.amplitudes[:1] = np.array([1j])
+
+
 def test_width_cap_enforced(monkeypatch):
     monkeypatch.setenv("QOBF_MAX_QUBITS", "4")
     assert max_qubits() == 4
@@ -683,17 +693,17 @@ def test_width_cap_enforced(monkeypatch):
 
 
 def test_a_state_numpy_cannot_allocate_names_its_bytes_and_the_cap(monkeypatch):
-    # 2^60 amplitudes are 2^64 bytes, past what numpy will size an array at,
+    # 2^60 amplitudes are 2^63 bytes, past what numpy will size an array at,
     # so it refuses before asking the OS for anything
     monkeypatch.setenv("QOBF_MAX_QUBITS", "70")
-    with pytest.raises(ResourceLimitError, match=rf"{16 * 2**60} bytes.*QOBF_MAX_QUBITS=70"):
+    with pytest.raises(ResourceLimitError, match=rf"{2**63} bytes.*QOBF_MAX_QUBITS=70"):
         zero_state(65, stored=60)
 
     def refuse(*args, **kwargs):
         raise MemoryError
 
     monkeypatch.setattr(np, "zeros", refuse)
-    with pytest.raises(ResourceLimitError, match=r"stores 3 qubits: 128 bytes.*QOBF_MAX_QUBITS"):
+    with pytest.raises(ResourceLimitError, match=r"stores 3 qubits: 64 bytes.*QOBF_MAX_QUBITS"):
         zero_state(4, stored=3)
 
 
