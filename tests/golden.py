@@ -12,7 +12,8 @@ recorded with the change.
 The cases cover the build path (``inspect`` in both formats, ``export``
 with and without ``--decompose`` and ``bench --plan-only``) at N=1..63,
 375..381 and 744..765; ``obfuscate --format json`` at N=1..63 with seed
-7 and at N=31 with 10^6 shots and three seeds; the README quick start;
+7, at N=31 with 10^6 shots and three seeds and at N=63 with 10^6 shots
+and two seeds; the README quick start;
 and the refusals that exit 2, 3 and 4. Beside them, the file holds the
 SHA-256 of the amplitudes ``simulate`` leaves at N=1..63 and 127,
 so every stored amplitude is pinned bit for bit. They are real float64
@@ -86,6 +87,9 @@ def cases() -> list[tuple[str, ...]]:
             for n in range(1, 64)]
     out += [("obfuscate", "--n-value", "31", "--shots", "1000000", "--seed", str(seed),
              "--format", "json") for seed in (1, 5, 123456)]
+    # 2^15 outcomes: sampling meets draws in the cells of cumulative values here
+    out += [("obfuscate", "--n-value", "63", "--shots", "1000000", "--seed", str(seed),
+             "--format", "json") for seed in (1, 5)]
     out.append(("obfuscate", "--n-value", "19", "--shots", "1024", "--seed", "7"))
     out += REFUSALS
     return out

@@ -318,6 +318,7 @@ def test_run_decodes_like_sample_and_decode(target, bits):
     drawn = sample(state, case.input_qubits, 4000, 5)
     entries = {decode(key, bits): count for key, count in drawn.entries.items()}
     assert histogram.entries == entries
+    assert list(histogram.entries) == sorted(entries)  # in (x, y, z) order
     valid = sum(count for triplet, count in entries.items() if sum(triplet) == target)
     assert histogram.valid_fraction == valid / 4000
     assert histogram.exact_success == solution_probability(case, state)

@@ -7,6 +7,8 @@ from itertools import groupby
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qobf import statevector
 from qobf.circuit import Circuit, GateOp, ccx, cx, h, mcx, x, z
@@ -797,6 +799,70 @@ def test_sample_counts_equal_one_searchsorted_over_all_draws(shots):
     assert counts[-1] > 0
 
 
+CELL = 2.0**-32
+
+
+def near_draw(u, kind):
+    """A cumulative value at a draw u: on it, one ulp or under 2^-32 either
+    side of it, or on an end of its 2^-32-wide cell."""
+    cell = math.floor(u / CELL) * CELL
+    return {"on": u, "ulp_below": math.nextafter(u, 0.0), "ulp_above": math.nextafter(u, 1.0),
+            "near_below": max(u - CELL / 2, 0.0), "near_above": u + CELL / 2,
+            "cell_start": cell, "cell_end": cell + CELL}[kind]
+
+
+def marginal_with_cdf(values):
+    """Entries whose np.cumsum runs through ``values`` (nondecreasing, >= 0):
+    each entry is the step, nudged by ulps until the running sum lands on
+    its value, or on the float just below it where rounding skips it."""
+    entries, total = [], 0.0
+    for value in values:
+        step = value - total
+        while total + step < value:
+            step = math.nextafter(step, math.inf)
+        while total + step > value:
+            step = math.nextafter(step, 0.0)
+        entries.append(step)
+        total += step
+    return np.array(entries)
+
+
+KINDS = ("on", "ulp_below", "ulp_above", "near_below", "near_above", "cell_start", "cell_end")
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32), st.one_of(st.integers(1, 3000),
+                                        st.integers(SAMPLE_CHUNK - 5, SAMPLE_CHUNK + 3000)),
+       st.lists(st.one_of(st.tuples(st.sampled_from(KINDS), st.integers(0, 10**6)),
+                          st.tuples(st.just("grid"), st.integers(0, 2**32 - 1))),
+                min_size=1, max_size=40),
+       st.lists(st.sampled_from((1.0, 1.0 + 2**-52, 1.0 + CELL, 1.5)), max_size=3))
+def test_sample_counts_at_cumulative_values_on_and_beside_draws(seed, shots, picks, over):
+    # cumulative values on draws, a ulp or under 2^-32 beside them, on
+    # multiples of 2^-32, repeated (zero entries), ending below 1 or above it
+    draws = np.random.Generator(np.random.PCG64(seed)).random(shots)
+    values = [k * CELL if kind == "grid" else near_draw(float(draws[k % shots]), kind)
+              for kind, k in picks]
+    marginal = marginal_with_cdf(sorted(values + values[::3] + over))
+    counts = sample_counts(marginal, shots, seed)
+    assert np.array_equal(counts, reference_counts(marginal, shots, seed))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
+def test_sample_counts_refuses_entries_the_keys_cannot_order(bad, monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(np.random, "PCG64", no_draws)
+    marginal = np.full(8, 0.125)
+    marginal[[5, 7]] = bad
+    with pytest.raises(ValueError, match=f"marginal entry 5 is {bad}; "):
+        sample_counts(marginal, 10, 0)
+    # so is a sum past the float range, at the entry that takes it there
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="marginal entry 2 is 1e[+]308"):
+        sample_counts(np.array([0.0, 1e308, 1e308, 0.0]), 10, 0)
+
+
 def per_chunk_counts(marginal, shots, seed):
     """Inverse-CDF counts taking one difference per chunk of draws."""
     cdf = np.cumsum(marginal)
@@ -812,9 +878,11 @@ def per_chunk_counts(marginal, shots, seed):
 
 def test_sample_counts_memory_stays_within_three_outcome_arrays():
     # N=255's marginal has 2^21 outcomes. Beside it, sampling holds the
-    # cdf, the summed positions and one chunk's positions, then the
-    # positions, their padded copy and the counts, plus the draws of at
-    # most two chunks and small objects (under 64 KiB)
+    # cdf, its uint32 cells and the summed positions, 2.5 outcome arrays;
+    # one slice of 2^18 cells' positions, stop keys and matches (3.25
+    # MiB, under the half array left); a chunk's float64 draws and
+    # uint32 keys; small objects (under 64 KiB); then the summed
+    # positions and the counts
     marginal = np.random.default_rng(5).random(1 << 21)
     marginal /= marginal.sum()
     bound = 3 * marginal.nbytes + 2 * SAMPLE_CHUNK * 8 + 2**16
