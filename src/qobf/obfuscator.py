@@ -220,12 +220,6 @@ def simulate(obf_plan: ObfuscationPlan) -> tuple[StateVector, float]:
     return state, elapsed
 
 
-def _registers(index: np.ndarray, bits: int):
-    """(x, y, z) arrays for input-register outcome indices; x holds the low bits."""
-    mask = (1 << bits) - 1
-    return index & mask, (index >> bits) & mask, index >> (2 * bits)
-
-
 def _solution_mass(obf_plan: ObfuscationPlan, marginal: np.ndarray) -> float:
     # the solutions' indices x + y*2^n + z*2^(2n), ascending: by z, then y,
     # with x = target - y - z in range. A mask over every outcome picks the
@@ -245,16 +239,19 @@ def solution_probability(obf_plan: ObfuscationPlan, state: StateVector) -> float
     return _solution_mass(obf_plan, marginal_probabilities(state, obf_plan.input_qubits))
 
 
-def decode(bitstring: str, bits: int) -> tuple[int, int, int]:
-    """Split a sampled 3n-bit string into (x, y, z).
+def decode(index: int | np.ndarray, bits: int):
+    """Split input-register outcome indices into (x, y, z).
 
-    The string is written most significant qubit first, so it reads as
-    the outcome index in binary, which ``_registers`` splits. Anything
-    but exactly 3n characters of 0 and 1 is refused.
+    ``index`` is one index or an array of them; bit k is input qubit k,
+    so x is the low n bits, y the next n and z the top n. Python ints
+    give Python ints, arrays give arrays. Any index outside
+    0..2^(3n)-1 is refused.
     """
-    if len(bitstring) != 3 * bits or not set(bitstring) <= {"0", "1"}:
-        raise ConstraintError(f"bitstring {bitstring!r} is not 3*{bits} binary digits")
-    return _registers(int(bitstring, 2), bits)
+    # count_nonzero, not any: on one Python int it takes 0.5 us against 3.4 us
+    if np.count_nonzero((index < 0) | (index >= 1 << 3 * bits)):
+        raise ConstraintError(f"outcome index outside 0..2^{3 * bits}-1 for {bits}-bit registers")
+    mask = (1 << bits) - 1
+    return index & mask, (index >> bits) & mask, index >> (2 * bits)
 
 
 def run(obf_plan: ObfuscationPlan, shots: int = DEFAULT_SHOTS,
@@ -274,7 +271,7 @@ def run(obf_plan: ObfuscationPlan, shots: int = DEFAULT_SHOTS,
     marginal = marginal_probabilities(state, obf_plan.input_qubits)
     counts = sample_counts(marginal, shots, seed)
     outcomes = np.flatnonzero(counts)
-    xs, ys, zs = _registers(outcomes, obf_plan.bits)
+    xs, ys, zs = decode(outcomes, obf_plan.bits)
     # entries in (x, y, z) order, which sorted_entries' first sort then keeps
     order = np.lexsort((zs, ys, xs))
     xs, ys, zs, hits = xs[order], ys[order], zs[order], counts[outcomes[order]]

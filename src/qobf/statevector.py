@@ -28,23 +28,25 @@ the diffuser's index 0. A block (a Grover round) is cut at its first
 H or Z into a head and a tail; only ``prologue + head``, ``tail +
 head`` (applied copies - 1 times) and ``tail`` are split into runs,
 each run compiled once per call before the first gate is applied.
-The pipeline's H gates come as whole layers over its low qubits
-0..m-1, ascending (the prologue, the diffuser's first) or descending
-(the diffuser's last). Each such layer is one step: blocks of
-BUTTERFLY_CHUNK amplitudes take their bits in constant geometry
-(Pease, J. ACM 15(2), 1968), ping-ponging with one reused temporary
-through contiguous and stride-2 rows, and bits above a block go
-through the butterfly below. Every other H, and every Z, is applied
-gate by gate on a (hi, 2, lo) view that splits the target's bit, H in
-pieces of BUTTERFLY_CHUNK amplitudes. Every stored amplitude comes out
-bit for bit as gate-by-gate application on the dense state would
-leave it: moves only copy values, every H, in a layer or not, does
-each amplitude's arithmetic in one fixed order and in the gates'
-order, and a run that flips the ``minus`` qubit negates what it
-brings over from the implied half as 0 - a, which leaves a zero +0 as
-the dense run's (0 - v)/sqrt(2) does. Gate fusion, whole layers as
-one kernel, diagonal runs as sign flips and leaving out qubits that
-carry no information follow Haener & Steiger, arXiv:1704.01127.
+Between two runs, the H and Z gates form one group. A group that is
+exactly H on qubits 0..m-1, m >= 2, ascending or descending, is one
+layer step. The pipeline's H gates all come in such groups, over its
+low qubits: the prologue's and the diffuser's first ascending, the
+diffuser's last descending. A layer's blocks of BUTTERFLY_CHUNK
+amplitudes take their bits in constant geometry (Pease, J. ACM 15(2),
+1968), ping-ponging with one reused temporary through contiguous and
+stride-2 rows, and bits above a block go through the butterfly below.
+Every gate of any other group is applied on its own, on a (hi, 2, lo)
+view that splits the target's bit, H in pieces of BUTTERFLY_CHUNK
+amplitudes. Every stored amplitude comes out bit for bit as gate-by-gate
+application on the dense state would leave it: moves only copy values,
+every H, in a layer or not, does each amplitude's arithmetic in one
+fixed order and in the gates' order, and a run that flips the ``minus``
+qubit negates what it brings over from the implied half as 0 - a, which
+leaves a zero +0 as the dense run's (0 - v)/sqrt(2) does. Gate fusion,
+whole layers as one kernel, diagonal runs as sign flips and leaving out
+qubits that carry no information follow Haener & Steiger,
+arXiv:1704.01127.
 
 Measurement is terminal sampling only. The marginal is read over a
 prefix of the stored qubits, 0..m-1, which for the pipeline are its
@@ -131,18 +133,18 @@ class StateVector:
 
 @dataclass
 class Histogram:
-    """Shot counts keyed by bitstring; the first sampled qubit is the rightmost character."""
+    """Shot counts keyed by outcome index; bit k of an index is the k-th sampled qubit."""
 
     width: int
-    entries: dict[str, int]
+    entries: dict[int, int]
     shots: int
 
     def __post_init__(self):
         if sum(self.entries.values()) != self.shots:
             raise ValueError("histogram counts must sum to shots")
         for key in self.entries:
-            if len(key) != self.width or set(key) - {"0", "1"}:
-                raise ValueError(f"bad histogram key {key!r} for width {self.width}")
+            if not 0 <= key < 2**self.width:
+                raise ValueError(f"histogram key {key} is outside 0..2^{self.width}-1")
 
 
 def check_width(width: int):
@@ -354,38 +356,15 @@ def _layer(amplitudes: np.ndarray, bits: range, temp: np.ndarray):
             _butterfly(amplitudes, "h", bit, temp)
 
 
-def _layer_at(ops: list[GateOp], i: int) -> range | None:
-    """The bits of an H layer over qubits 0..m-1, m >= 2, that starts at ``ops[i]``.
-
-    Ascending, it is the longest run of H on qubits 0, 1, 2, ...;
-    descending, H on qubits m-1, m-2, ..., 0. None if neither starts there.
-    """
-    first = ops[i]
-    top = first.target
-    if first.kind != "h":
-        return None
-    if top == 0:
-        m = 1
-        while i + m < len(ops) and ops[i + m].kind == "h" and ops[i + m].target == m:
-            m += 1
-        return range(m) if m >= 2 else None
-    if i + top >= len(ops):
-        return None
-    for j in range(1, top + 1):
-        op = ops[i + j]
-        if op.kind != "h" or op.target != top - j:
-            return None
-    return range(top, -1, -1)
-
-
 def _split(ops: list[GateOp], state: StateVector, compiled: dict) -> list:
     """``ops`` as steps: H layers, other H and Z gates, and X/CX/CCX/MCX runs' (moves, flips).
 
-    A layer is a maximal run of H gates on qubits 0..m-1 in ascending or
-    descending order, m >= 2, held as the range of its bits in gate order.
-    Checks each H and Z on ``state`` first; compiles each run not yet in
-    ``compiled``, keyed by its gates' ids, since the circuit holds them for
-    the whole call.
+    A group of H and Z gates between two runs is one layer step, the
+    range of its bits in gate order, when the whole group is H on qubits
+    0..m-1, m >= 2, in ascending or descending order; any other group is
+    one step per gate. Checks each H and Z on ``state`` first; compiles
+    each run not yet in ``compiled``, keyed by its gates' ids, since the
+    circuit holds them for the whole call.
     """
     width = state.width
     steps = []
@@ -406,11 +385,13 @@ def _split(ops: list[GateOp], state: StateVector, compiled: dict) -> list:
                 raise ValueError(
                     f"qubit {op.target} carries an H or Z gate, but the state does not store it"
                 )
-        i = 0
-        while i < len(group):
-            bits = _layer_at(group, i)
-            steps.append(group[i] if bits is None else bits)
-            i += 1 if bits is None else len(bits)
+        bits = range(len(group))
+        if group[0].target:  # a descending layer starts at its top qubit
+            bits = bits[::-1]
+        if len(group) >= 2 and [op.target for op in group if op.kind == "h"] == list(bits):
+            steps.append(bits)
+        else:
+            steps.extend(group)
     return steps
 
 
@@ -429,10 +410,11 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     qubit's implied half are negated as 0 - a. Runs with the same gates
     are compiled once per call, all before the first gate is applied,
     and each step holds its run's moves and flips, so applying the steps
-    looks nothing up. A maximal run of H on qubits 0..m-1 in ascending or
-    descending order, m >= 2, is one ``_layer`` step; every other H and
-    every Z is applied gate by gate by ``_butterfly``. Both share one
-    temporary of min(BUTTERFLY_CHUNK, state size) amplitudes.
+    looks nothing up. A group of H and Z gates between runs that is
+    exactly H on qubits 0..m-1, m >= 2, in ascending or descending order
+    is one ``_layer`` step; every other group is applied gate by gate by
+    ``_butterfly``. Both share one temporary of min(BUTTERFLY_CHUNK,
+    state size) amplitudes.
 
     Raises ValueError, leaving the state as it was, for a width
     mismatch, a gate past the width, an H or Z on a qubit the state
@@ -623,10 +605,13 @@ def sample_counts(marginal: np.ndarray, shots: int, seed: int) -> np.ndarray:
 
 
 def sample(state: StateVector, qubits, shots: int, seed: int) -> Histogram:
-    """Draw ``shots`` outcomes from the marginal over ``qubits``; see sample_counts."""
+    """Draw ``shots`` outcomes from the marginal over ``qubits``; see sample_counts.
+
+    The histogram holds each outcome drawn at least once, keyed by its
+    index as a Python int, whose bit k is ``qubits[k]``.
+    """
     qubits = list(qubits)
     counts = sample_counts(marginal_probabilities(state, qubits), shots, seed)
-    m = len(qubits)
-    entries = {format(int(i), f"0{m}b"): int(counts[i]) for i in np.flatnonzero(counts)}
-    return Histogram(m, entries, shots)
+    outcomes = np.flatnonzero(counts)
+    return Histogram(len(qubits), dict(zip(outcomes.tolist(), counts[outcomes].tolist())), shots)
 

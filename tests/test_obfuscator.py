@@ -17,7 +17,6 @@ from qobf.obfuscator import (
     DecodedHistogram,
     ObfuscationPlan,
     build_full_circuit,
-    _registers,
     _solution_mass,
     decode,
     plan,
@@ -268,7 +267,7 @@ def test_run_smallest_case_favors_the_single_triplet():
 
 def masked_solution_mass(case, marginal):
     """The marginal summed through a mask over every outcome."""
-    xs, ys, zs = _registers(np.arange(marginal.size), case.bits)
+    xs, ys, zs = decode(np.arange(marginal.size), case.bits)
     return float(marginal[xs + ys + zs == case.target].sum())
 
 
@@ -325,31 +324,39 @@ def test_run_decodes_like_sample_and_decode(target, bits):
 
 
 def test_decode_known_bitstring():
-    # qubit values q0..q8 = 1,1,1,1,1,1,1,0,1 written msb-first
-    assert decode("101111111", 3) == (7, 7, 5)
-    assert decode("000000000", 3) == (0, 0, 0)
-    assert decode("001", 1) == (1, 0, 0)
-    with pytest.raises(ConstraintError):
-        decode("0101", 3)
+    # qubit values q0..q8 = 1,1,1,1,1,1,1,0,1, as an index written msb-first
+    assert decode(0b101111111, 3) == (7, 7, 5)
+    assert decode(0b000000000, 3) == (0, 0, 0)
+    assert decode(0b001, 1) == (1, 0, 0)
+    assert decode(0b111, 1) == (1, 1, 1)
 
 
 def test_decode_matches_register_split_exhaustive_n2():
+    indices = np.arange(64)
+    xs, ys, zs = decode(indices, 2)
+    assert np.array_equal(xs + 4 * ys + 16 * zs, indices)
+    assert xs.max() == ys.max() == zs.max() == 3
     for index in range(64):
-        assert decode(format(index, "06b"), 2) == _registers(index, 2)
-    with pytest.raises(ConstraintError):
-        decode("0000000", 2)
+        triplet = decode(index, 2)
+        assert triplet == (xs[index], ys[index], zs[index])
+        assert triplet == (index & 3, (index >> 2) & 3, index >> 4)
+        assert all(type(value) is int for value in triplet)
 
 
-# int(s, 2) takes a 0b prefix, underscores and surrounding whitespace;
-# decode takes exactly 3n characters of 0 and 1
-@pytest.mark.parametrize("bitstring, bits", [
-    ("0b1", 1), ("1_0", 1), (" 01", 1), ("01 ", 1), ("012", 1), ("+01", 1),
-    ("0b1111111", 3), ("1_1111111", 3), (" 11111111", 3),
-    ("", 1), ("01", 1), ("0101", 1), ("0" * 10, 3),
-])
-def test_decode_refuses_anything_but_3n_binary_digits(bitstring, bits):
-    with pytest.raises(ConstraintError):
-        decode(bitstring, bits)
+# indices just outside 0..2^(3n)-1, alone and among good ones, given top = 2^(3n)
+BAD_INDICES = {
+    "minus-one": lambda top: -1,
+    "top": lambda top: top,
+    "array-holding-top": lambda top: np.array([0, top - 1, top]),
+    "array-holding-minus-one": lambda top: np.array([top - 1, -1, 0]),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INDICES)
+@pytest.mark.parametrize("bits", [1, 2, 3])
+def test_decode_refuses_indices_outside_3n_bits(bits, case):
+    with pytest.raises(ConstraintError, match=f"outside 0..2\\^{3 * bits}-1"):
+        decode(BAD_INDICES[case](2 ** (3 * bits)), bits)
 
 
 def test_histogram_invariants_enforced():
