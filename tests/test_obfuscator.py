@@ -359,6 +359,26 @@ def test_decode_refuses_indices_outside_3n_bits(bits, case):
         decode(BAD_INDICES[case](2 ** (3 * bits)), bits)
 
 
+
+# decode takes integer outcome indices: a bitstring is refused, whether or not
+# int(s, 2) would take it (0b prefix, underscores, surrounding whitespace)
+@pytest.mark.parametrize("bitstring, bits", [
+    ("0b1", 1), ("1_0", 1), (" 01", 1), ("01 ", 1), ("012", 1), ("+01", 1),
+    ("0b1111111", 3), ("1_1111111", 3), (" 11111111", 3),
+    ("", 1), ("01", 1), ("0101", 1), ("0" * 10, 3),
+])
+def test_decode_refuses_anything_but_3n_binary_digits(bitstring, bits):
+    with pytest.raises(ConstraintError, match="must be an integer"):
+        decode(bitstring, bits)
+    with pytest.raises(ConstraintError, match="must be an integer"):
+        decode(np.array([bitstring]), bits)
+
+
+@pytest.mark.parametrize("index", [1.0, np.float64(1.0), np.array([0.0, 1.0])])
+def test_decode_refuses_non_integer_indices(index):
+    with pytest.raises(ConstraintError, match="must be an integer"):
+        decode(index, 1)
+
 def test_histogram_invariants_enforced():
     with pytest.raises(ValueError):
         DecodedHistogram(target=3, bits=1, iterations=2, shots=10,
