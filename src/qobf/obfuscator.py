@@ -48,7 +48,7 @@ MAX_CIRCUIT_OPS = 1 << 21
 # up to this width that quotient fits for every target
 MAX_PLAN_BITS = (sys.float_info.max_exp - 1) // 3
 
-# shots one run may draw; sampling N=31's marginal takes about 1.2-1.6 s per 10^8 shots
+# shots one run may draw; sampling N=31's marginal takes about 0.6-0.7 s per 10^8 shots
 MAX_SHOTS = 10**9
 
 

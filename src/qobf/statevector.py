@@ -53,14 +53,19 @@ prefix of the stored qubits, 0..m-1, which for the pipeline are its
 3n inputs. Sampling draws shots by inverse CDF over it, with
 uniforms from PCG64 (O'Neill's permuted congruential generator,
 XSL-RR 128/64 variant, as shipped by numpy and seeded through numpy's
-SeedSequence). The uniforms are drawn in fixed chunks into one reused
-buffer; each chunk sorts the uniforms' 32-bit keys floor(u * 2^32),
-which sort in about half the time of the float64 uniforms, and counts
-them against the cumulative marginal's keys, going back to the
-uniforms themselves only where a key equals one of those. That is the
-same stream and the same outcome per uniform as one lookup of all of
-them, so identical (state, qubits, shots, seed) give an identical
-histogram on every platform.
+SeedSequence). The uniforms are drawn in order, one granule at a
+time, into reused buffers: half of SAMPLE_CHUNK when at most that many
+cumulative values lie below 1, else a whole chunk, since every granule
+searches every value's cell. A granule's 32-bit keys floor(u * 2^32)
+sort in about half the time of the float64 uniforms. When a call has
+two or more granules, one helper thread sorts each granule's keys
+while the calling thread draws and keys the next; the calling thread
+then counts the sorted keys against the cumulative marginal's keys, in
+granule order, going back to the uniforms themselves only where a key
+equals one of those. The helper is joined before the call returns or
+raises. That is the same stream and the same outcome per uniform as
+one lookup of all of them, so identical (state, qubits, shots, seed)
+give an identical histogram on every platform.
 
 Widths above ``max_qubits()`` (default 26, about 512 MiB of dense
 amplitudes) are refused; the cap is compared with the full width, not
@@ -71,6 +76,7 @@ numpy then cannot allocate is refused with a ResourceLimitError.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -82,6 +88,7 @@ from .errors import ConstraintError, ResourceLimitError
 DEFAULT_MAX_QUBITS = 26
 
 # uniforms drawn, keyed, sorted and counted at a time by sample_counts
+# (half of it when the cells below 1 fit in half), and cells searched at a time
 SAMPLE_CHUNK = 1 << 18
 
 # a uniform u's 32-bit key is floor(u * _KEYS)
@@ -530,11 +537,52 @@ def _tied_cells(keys: np.ndarray, cells: np.ndarray, found: np.ndarray) -> np.nd
     return np.flatnonzero(keys.take(found, mode="clip") == cells)
 
 
+class _KeySorter:
+    """One helper thread that sorts a granule's keys while the caller draws the next.
+
+    ``sort`` hands it an array to sort in place and returns at once;
+    ``wait`` returns once that array is sorted, raising what the sort
+    raised; ``close`` ends the thread and joins it.
+    """
+
+    def __init__(self):
+        self._todo = threading.Semaphore(0)
+        self._done = threading.Semaphore(0)
+        self._keys = self._error = None
+        self._thread = threading.Thread(target=self._run, name="qobf-key-sort")
+        self._thread.start()
+
+    def _run(self):
+        while self._todo.acquire():
+            keys = self._keys
+            if keys is None:  # closed
+                return
+            try:
+                keys.sort()
+            except BaseException as error:  # raised again in the caller's thread by wait
+                self._error = error
+            self._done.release()
+
+    def sort(self, keys: np.ndarray):
+        self._keys = keys
+        self._todo.release()
+
+    def wait(self):
+        self._done.acquire()
+        if self._error is not None:
+            raise self._error
+
+    def close(self):
+        self._keys = None
+        self._todo.release()
+        self._thread.join()
+
+
 def _draws_below(marginal: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """below[k] = the draws with outcome <= k; see sample_counts.
 
     Its own function, so that the cumulative marginal, its cells and
-    the chunk buffers are freed before the caller takes differences.
+    the granule buffers are freed before the caller takes differences.
     """
     cdf = np.cumsum(marginal)
     if not (marginal.min() >= 0.0 and cdf[-1] < np.inf):
@@ -551,17 +599,27 @@ def _draws_below(marginal: np.ndarray, shots: int, seed: int) -> np.ndarray:
     rng = np.random.Generator(np.random.PCG64(seed))
     # written rather than calloc'd: adding into untouched zero pages faults each one twice
     below = np.full(len(marginal), 0, dtype=np.int64)
-    draws = np.empty(min(SAMPLE_CHUNK, shots))
-    # tie resolution reuses the keys' buffer as intp, so its length is even
-    key_buffer = np.empty(draws.size + draws.size % 2, dtype=np.uint32)
-    keys = key_buffer[:draws.size]
-    for start in range(0, shots, SAMPLE_CHUNK):
-        scaled = draws[:min(SAMPLE_CHUNK, shots - start)]
+    # every granule searches every cell, so granules are halved only
+    # where that search is short; two halves in flight hold one chunk's buffers
+    granule = SAMPLE_CHUNK // 2 if top <= SAMPLE_CHUNK // 2 else SAMPLE_CHUNK
+    size = min(granule, shots)
+    # one float64 and one uint32 buffer per granule in flight; tie
+    # resolution reuses the keys' buffer as intp, so its length is even
+    buffers = [(np.empty(size), np.empty(size + size % 2, dtype=np.uint32))
+               for _ in range(1 + (shots > granule))]
+
+    def draw(start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The granule at ``start``: its scaled draws, keys and key buffer."""
+        draws, key_buffer = buffers[start // granule % 2]
+        scaled = draws[:min(granule, shots - start)]
         rng.random(out=scaled)
         scaled *= _KEYS
-        sorted_keys = keys[:scaled.size]
-        np.copyto(sorted_keys, scaled, casting="unsafe")
-        sorted_keys.sort()
+        keys = key_buffer[:scaled.size]
+        np.copyto(keys, scaled, casting="unsafe")
+        return scaled, keys, key_buffer
+
+    def count(scaled: np.ndarray, sorted_keys: np.ndarray, key_buffer: np.ndarray):
+        """Add a granule whose keys are sorted into ``below``."""
         tied = np.zeros(0, dtype=np.intp)
         # a chunk's length of cells at a time, which bounds the positions held
         for lo in range(0, top, SAMPLE_CHUNK):
@@ -571,6 +629,25 @@ def _draws_below(marginal: np.ndarray, shots: int, seed: int) -> np.ndarray:
             tied = np.append(tied, lo + _tied_cells(sorted_keys, part, found))
         if tied.size:
             below[tied] += _cell_counts(scaled, key_buffer, cdf[tied] * _KEYS)
+
+    granule_now = draw(0)
+    if shots <= granule:
+        granule_now[1].sort()
+    else:
+        sorter = _KeySorter()
+        try:
+            sorter.sort(granule_now[1])
+            for start in range(granule, shots, granule):
+                # drawn while the helper sorts the granule before it
+                granule_next = draw(start)
+                sorter.wait()
+                sorter.sort(granule_next[1])
+                count(*granule_now)
+                granule_now = granule_next
+            sorter.wait()
+        finally:
+            sorter.close()
+    count(*granule_now)
     below[min(top, len(below) - 1):] = shots  # the last outcome takes the tail
     return below
 
@@ -581,14 +658,20 @@ def sample_counts(marginal: np.ndarray, shots: int, seed: int) -> np.ndarray:
     Inverse-CDF sampling: the outcome of a PCG64(seed) uniform u is the
     number of cumulative-marginal entries <= u, clamped to the last
     outcome, so outcome k gets the draws in [cdf[k-1], cdf[k]). The
-    uniforms are drawn SAMPLE_CHUNK at a time into one reused buffer
-    (the same stream as one draw of ``shots``) and scaled by 2^32. Each
-    chunk sorts their 32-bit keys floor(u * 2^32), not the uniforms,
-    and each cumulative value c below 1 counts the keys below its cell
+    uniforms are drawn a granule at a time (the same stream as one draw
+    of ``shots``) and scaled by 2^32: SAMPLE_CHUNK // 2 of them when at
+    most that many cumulative values are below 1, so that two granules
+    take one chunk's buffers, else SAMPLE_CHUNK. Each granule's 32-bit
+    keys floor(u * 2^32), not the uniforms, are sorted, and each
+    cumulative value c below 1 counts the keys below its cell
     floor(c * 2^32); where a key equals the cell, the draws in it with
     u * 2^32 < c * 2^32 are added (``_cell_counts``). Both products are
     exact, so every count is that of u < c; a c >= 1 takes every draw.
-    Deterministic for a given seed.
+    With two or more granules, one helper thread sorts a granule's keys
+    while this thread draws the next; the counting stays on this thread
+    and in granule order, and the helper is joined before the call
+    returns or raises. One granule starts no thread. Deterministic for
+    a given seed.
 
     Raises a ValueError naming the first NaN, infinite or negative
     entry, whose cell would be undefined, before anything is drawn; so

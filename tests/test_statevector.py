@@ -2,6 +2,7 @@
 
 import math
 import re
+import threading
 import tracemalloc
 from itertools import groupby
 
@@ -787,15 +788,18 @@ def reference_counts(marginal, shots, seed):
     return np.bincount(outcomes, minlength=len(marginal))
 
 
-@pytest.mark.parametrize("shots", [SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1,
-                                   3 * SAMPLE_CHUNK + 7])
-def test_sample_counts_equal_one_searchsorted_over_all_draws(shots):
+@pytest.mark.parametrize("outcomes, shots", [
+    *(pytest.param(64, shots, id=str(shots))
+      for shots in (SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 3 * SAMPLE_CHUNK + 7)),
+    # cells below 1 on either side of the half-chunk granule rule, three granules and 7 shots
+    (SAMPLE_CHUNK // 2 - 1, 3 * SAMPLE_CHUNK // 2 + 7), (SAMPLE_CHUNK // 2 + 1, 3 * SAMPLE_CHUNK + 7)])
+def test_sample_counts_equal_one_searchsorted_over_all_draws(outcomes, shots):
     rng = np.random.default_rng(shots)
-    marginal = rng.random(64)
+    marginal = rng.random(outcomes)
     marginal[[0, 1, 17, 40, 41, 63]] = 0.0
     marginal /= marginal.sum()
     short = marginal * (1.0 - 1e-3)  # cdf ends below 1: the tail goes to the last outcome
-    assert np.cumsum(short)[-1] < 1.0
+    assert np.cumsum(short)[-1] < 1.0  # so every outcome of ``short`` has a cell below 1
     for probs in (marginal, short):
         counts = sample_counts(probs, shots, seed=shots % 97)
         assert np.array_equal(counts, reference_counts(probs, shots, shots % 97))
@@ -883,9 +887,9 @@ def test_sample_counts_memory_stays_within_three_outcome_arrays():
     # N=255's marginal has 2^21 outcomes. Beside it, sampling holds the
     # cdf, its uint32 cells and the summed positions, 2.5 outcome arrays;
     # one slice of 2^18 cells' positions, stop keys and matches (3.25
-    # MiB, under the half array left); a chunk's float64 draws and
-    # uint32 keys; small objects (under 64 KiB); then the summed
-    # positions and the counts
+    # MiB, under the half array left); two granules' float64 draws and
+    # uint32 keys (3 MiB each at this width); small objects (under 64
+    # KiB); then the summed positions and the counts
     marginal = np.random.default_rng(5).random(1 << 21)
     marginal /= marginal.sum()
     bound = 3 * marginal.nbytes + 2 * SAMPLE_CHUNK * 8 + 2**16
@@ -898,6 +902,84 @@ def test_sample_counts_memory_stays_within_three_outcome_arrays():
             tracemalloc.stop()
         assert peak <= bound
         assert np.array_equal(counts, per_chunk_counts(marginal, shots, seed))
+
+
+def n_value_marginal(n_value):
+    state, _ = simulate(plan(n_value))
+    return marginal_probabilities(state, range(state.stored))
+
+
+@pytest.mark.parametrize("seed", [2, 4, 12, 15])
+def test_sample_counts_settles_tied_cells_at_n31_with_a_million_shots(seed, monkeypatch):
+    # the shots-31 benchmark request; these seeds put draws in the cells
+    # of two cumulative values, which the golden N=31 seeds never do
+    marginal = n_value_marginal(31)
+    settled = []
+    cell_counts = statevector._cell_counts
+
+    def recorded(scaled, spare, values):
+        settled.append(values.size)
+        return cell_counts(scaled, spare, values)
+
+    monkeypatch.setattr(statevector, "_cell_counts", recorded)
+    counts = sample_counts(marginal, 10**6, seed)
+    assert sum(settled) == 2
+    assert np.array_equal(counts, per_chunk_counts(marginal, 10**6, seed))
+
+
+def test_sample_counts_joins_its_sort_thread_also_when_it_raises(monkeypatch):
+    marginal = n_value_marginal(31)
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    before = threading.active_count()
+    assert np.array_equal(sample_counts(marginal, 10**6, 4), per_chunk_counts(marginal, 10**6, 4))
+    assert len(started) == 1 and threading.active_count() == before
+    # N=31's 4096 cells are one slice, so the second call is the second granule's
+    tied_cells, calls = statevector._tied_cells, []
+
+    def fails_on_second_granule(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise MemoryError("second granule")
+        return tied_cells(*args)
+
+    monkeypatch.setattr(statevector, "_tied_cells", fails_on_second_granule)
+    with pytest.raises(MemoryError, match="second granule"):
+        sample_counts(marginal, 10**6, 4)
+    assert len(started) == 2 and not started[1].is_alive()
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("n_value, shots", [(19, 1024), (31, SAMPLE_CHUNK // 2)])
+def test_sample_counts_of_one_granule_start_no_thread(n_value, shots, monkeypatch):
+    # N=19 at 1024 shots is the benchmark's anchor request
+    def no_thread(*args, **kwargs):
+        raise AssertionError("started a thread")
+
+    marginal = n_value_marginal(n_value)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    assert np.array_equal(sample_counts(marginal, shots, 7), per_chunk_counts(marginal, shots, 7))
+
+
+def test_key_sorter_hands_an_error_in_its_thread_to_the_caller():
+    class Unsortable:
+        def sort(self):
+            raise ValueError("cannot sort")
+
+    sorter = statevector._KeySorter()
+    try:
+        sorter.sort(Unsortable())
+        with pytest.raises(ValueError, match="cannot sort"):
+            sorter.wait()
+    finally:
+        sorter.close()
+    assert not sorter._thread.is_alive()
 
 
 def test_histogram_checks_totals():
