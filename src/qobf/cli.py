@@ -4,8 +4,9 @@ Subcommands: obfuscate (run the pipeline and print a decoded histogram),
 bench (benchmark table as CSV), count (solution counting), inspect
 (circuit metrics for one target), export (circuit text format).
 
-Exit codes: 0 success, 2 constraint violation, 3 resource limit or
-out of memory, 4 file I/O failure. Error messages go to standard error.
+Exit codes: 0 success, 1 a ``count --verify`` mismatch, 2 constraint
+violation, 3 resource limit or out of memory, 4 file I/O failure.
+Error messages go to standard error.
 """
 
 from __future__ import annotations

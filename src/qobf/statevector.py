@@ -58,14 +58,15 @@ time, into reused buffers: half of SAMPLE_CHUNK when at most that many
 cumulative values lie below 1, else a whole chunk, since every granule
 searches every value's cell. A granule's 32-bit keys floor(u * 2^32)
 sort in about half the time of the float64 uniforms. When a call has
-two or more granules, one helper thread sorts each granule's keys
-while the calling thread draws and keys the next; the calling thread
-then counts the sorted keys against the cumulative marginal's keys, in
-granule order, going back to the uniforms themselves only where a key
-equals one of those. The helper is joined before the call returns or
-raises. That is the same stream and the same outcome per uniform as
-one lookup of all of them, so identical (state, qubits, shots, seed)
-give an identical histogram on every platform.
+two or more granules, the one thread of a ThreadPoolExecutor sorts
+each granule's keys while the calling thread draws and keys the next;
+the calling thread then counts the sorted keys against the cumulative
+marginal's keys, in granule order, going back to the uniforms
+themselves only where a key equals one of those. The executor's thread
+is joined before the call returns or raises, and a sort's error is
+raised in the calling thread. That is the same stream and the same
+outcome per uniform as one lookup of all of them, so identical (state,
+qubits, shots, seed) give an identical histogram on every platform.
 
 Widths above ``max_qubits()`` (default 26, about 512 MiB of dense
 amplitudes) are refused; the cap is compared with the full width, not
@@ -76,7 +77,7 @@ numpy then cannot allocate is refused with a ResourceLimitError.
 from __future__ import annotations
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -537,47 +538,6 @@ def _tied_cells(keys: np.ndarray, cells: np.ndarray, found: np.ndarray) -> np.nd
     return np.flatnonzero(keys.take(found, mode="clip") == cells)
 
 
-class _KeySorter:
-    """One helper thread that sorts a granule's keys while the caller draws the next.
-
-    ``sort`` hands it an array to sort in place and returns at once;
-    ``wait`` returns once that array is sorted, raising what the sort
-    raised; ``close`` ends the thread and joins it.
-    """
-
-    def __init__(self):
-        self._todo = threading.Semaphore(0)
-        self._done = threading.Semaphore(0)
-        self._keys = self._error = None
-        self._thread = threading.Thread(target=self._run, name="qobf-key-sort")
-        self._thread.start()
-
-    def _run(self):
-        while self._todo.acquire():
-            keys = self._keys
-            if keys is None:  # closed
-                return
-            try:
-                keys.sort()
-            except BaseException as error:  # raised again in the caller's thread by wait
-                self._error = error
-            self._done.release()
-
-    def sort(self, keys: np.ndarray):
-        self._keys = keys
-        self._todo.release()
-
-    def wait(self):
-        self._done.acquire()
-        if self._error is not None:
-            raise self._error
-
-    def close(self):
-        self._keys = None
-        self._todo.release()
-        self._thread.join()
-
-
 def _draws_below(marginal: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """below[k] = the draws with outcome <= k; see sample_counts.
 
@@ -634,19 +594,17 @@ def _draws_below(marginal: np.ndarray, shots: int, seed: int) -> np.ndarray:
     if shots <= granule:
         granule_now[1].sort()
     else:
-        sorter = _KeySorter()
-        try:
-            sorter.sort(granule_now[1])
+        # leaving the block joins the helper, also on a raise
+        with ThreadPoolExecutor(1, thread_name_prefix="qobf-key-sort") as helper:
+            sorting = helper.submit(granule_now[1].sort)
             for start in range(granule, shots, granule):
                 # drawn while the helper sorts the granule before it
                 granule_next = draw(start)
-                sorter.wait()
-                sorter.sort(granule_next[1])
+                sorting.result()  # raises what the sort raised
+                sorting = helper.submit(granule_next[1].sort)
                 count(*granule_now)
                 granule_now = granule_next
-            sorter.wait()
-        finally:
-            sorter.close()
+            sorting.result()
     count(*granule_now)
     below[min(top, len(below) - 1):] = shots  # the last outcome takes the tail
     return below
@@ -667,11 +625,11 @@ def sample_counts(marginal: np.ndarray, shots: int, seed: int) -> np.ndarray:
     floor(c * 2^32); where a key equals the cell, the draws in it with
     u * 2^32 < c * 2^32 are added (``_cell_counts``). Both products are
     exact, so every count is that of u < c; a c >= 1 takes every draw.
-    With two or more granules, one helper thread sorts a granule's keys
-    while this thread draws the next; the counting stays on this thread
-    and in granule order, and the helper is joined before the call
-    returns or raises. One granule starts no thread. Deterministic for
-    a given seed.
+    With two or more granules, a one-thread ThreadPoolExecutor sorts a
+    granule's keys while this thread draws the next; the counting stays
+    on this thread and in granule order, and the executor's thread is
+    joined before the call returns or raises. One granule starts no
+    thread. Deterministic for a given seed.
 
     Raises a ValueError naming the first NaN, infinite or negative
     entry, whose cell would be undefined, before anything is drawn; so

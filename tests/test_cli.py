@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import qobf
-from qobf import cli, obfuscator
+from qobf import cli, grover, obfuscator
 from qobf.circuit import parse
 from qobf.obfuscator import MAX_CIRCUIT_OPS, MAX_PLAN_BITS, MAX_SHOTS
 
@@ -253,6 +253,15 @@ def test_count_plain_and_verified(capsys):
     code, out, _ = invoke(capsys, "count", "--n-value", "0", "--bits", "3")
     assert code == 0
     assert out == "1\n"
+
+
+def test_count_verify_mismatch_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(grover, "brute_force_solutions",
+                        lambda target, bits: grover.count_solutions(target, bits) + 1)
+    code, out, err = invoke(capsys, "count", "--n-value", "21", "--bits", "3", "--verify")
+    assert code == 1
+    assert out == "formula 1\nbrute_force 2\nMISMATCH\n"
+    assert err == ""
 
 
 def test_count_of_a_narrow_target_at_a_huge_width_is_instant(capsys):

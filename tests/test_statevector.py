@@ -870,19 +870,6 @@ def test_sample_counts_refuses_entries_the_keys_cannot_order(bad, monkeypatch):
         sample_counts(np.array([0.0, 1e308, 1e308, 0.0]), 10, 0)
 
 
-def per_chunk_counts(marginal, shots, seed):
-    """Inverse-CDF counts taking one difference per chunk of draws."""
-    cdf = np.cumsum(marginal)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    counts = np.zeros(len(marginal), dtype=np.int64)
-    for start in range(0, shots, SAMPLE_CHUNK):
-        draws = np.sort(rng.random(min(SAMPLE_CHUNK, shots - start)))
-        below = np.searchsorted(draws, cdf, side="left")
-        below[-1] = len(draws)
-        counts += np.diff(below, prepend=0)
-    return counts
-
-
 def test_sample_counts_memory_stays_within_three_outcome_arrays():
     # N=255's marginal has 2^21 outcomes. Beside it, sampling holds the
     # cdf, its uint32 cells and the summed positions, 2.5 outcome arrays;
@@ -901,7 +888,7 @@ def test_sample_counts_memory_stays_within_three_outcome_arrays():
         finally:
             tracemalloc.stop()
         assert peak <= bound
-        assert np.array_equal(counts, per_chunk_counts(marginal, shots, seed))
+        assert np.array_equal(counts, reference_counts(marginal, shots, seed))
 
 
 def n_value_marginal(n_value):
@@ -924,7 +911,7 @@ def test_sample_counts_settles_tied_cells_at_n31_with_a_million_shots(seed, monk
     monkeypatch.setattr(statevector, "_cell_counts", recorded)
     counts = sample_counts(marginal, 10**6, seed)
     assert sum(settled) == 2
-    assert np.array_equal(counts, per_chunk_counts(marginal, 10**6, seed))
+    assert np.array_equal(counts, reference_counts(marginal, 10**6, seed))
 
 
 def test_sample_counts_joins_its_sort_thread_also_when_it_raises(monkeypatch):
@@ -938,7 +925,7 @@ def test_sample_counts_joins_its_sort_thread_also_when_it_raises(monkeypatch):
 
     monkeypatch.setattr(threading, "Thread", Recorded)
     before = threading.active_count()
-    assert np.array_equal(sample_counts(marginal, 10**6, 4), per_chunk_counts(marginal, 10**6, 4))
+    assert np.array_equal(sample_counts(marginal, 10**6, 4), reference_counts(marginal, 10**6, 4))
     assert len(started) == 1 and threading.active_count() == before
     # N=31's 4096 cells are one slice, so the second call is the second granule's
     tied_cells, calls = statevector._tied_cells, []
@@ -954,6 +941,23 @@ def test_sample_counts_joins_its_sort_thread_also_when_it_raises(monkeypatch):
         sample_counts(marginal, 10**6, 4)
     assert len(started) == 2 and not started[1].is_alive()
     assert threading.active_count() == before
+    # and so does the helper's sort of the second granule
+    monkeypatch.setattr(statevector, "_tied_cells", tied_cells)
+    submitted = []
+
+    def sort_fails():
+        raise MemoryError("second sort")
+
+    class FailsSecondSort(statevector.ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(fn)
+            return super().submit(sort_fails if len(submitted) == 2 else fn, *args, **kwargs)
+
+    monkeypatch.setattr(statevector, "ThreadPoolExecutor", FailsSecondSort)
+    with pytest.raises(MemoryError, match="second sort"):
+        sample_counts(marginal, 10**6, 4)
+    assert len(submitted) == 2 and len(started) == 3 and not started[2].is_alive()
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("n_value, shots", [(19, 1024), (31, SAMPLE_CHUNK // 2)])
@@ -964,22 +968,7 @@ def test_sample_counts_of_one_granule_start_no_thread(n_value, shots, monkeypatc
 
     marginal = n_value_marginal(n_value)
     monkeypatch.setattr(threading, "Thread", no_thread)
-    assert np.array_equal(sample_counts(marginal, shots, 7), per_chunk_counts(marginal, shots, 7))
-
-
-def test_key_sorter_hands_an_error_in_its_thread_to_the_caller():
-    class Unsortable:
-        def sort(self):
-            raise ValueError("cannot sort")
-
-    sorter = statevector._KeySorter()
-    try:
-        sorter.sort(Unsortable())
-        with pytest.raises(ValueError, match="cannot sort"):
-            sorter.wait()
-    finally:
-        sorter.close()
-    assert not sorter._thread.is_alive()
+    assert np.array_equal(sample_counts(marginal, shots, 7), reference_counts(marginal, shots, 7))
 
 
 def test_histogram_checks_totals():
