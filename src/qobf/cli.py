@@ -58,14 +58,14 @@ def _check_out(out_path: str | None):
 
 
 def _format_text(histogram, top: int) -> str:
-    ranked = obfuscator.sorted_entries(histogram)[:top]
-    peak = ranked[0][1] if ranked else 1
+    ranked = list(histogram.entries.rows(top))
+    peak = ranked[0][3] if ranked else 1
     lines = [
         f"target {histogram.target}  bits {histogram.bits}  "
         f"iterations {histogram.iterations}  shots {histogram.shots}",
         f"{'x':>4} {'y':>4} {'z':>4} {'count':>7}",
     ]
-    for (xv, yv, zv), count in ranked:
+    for xv, yv, zv, count in ranked:
         bar = "#" * max(1, round(BAR_WIDTH * count / peak))
         lines.append(f"{xv:>4} {yv:>4} {zv:>4} {count:>7}  {bar}")
     lines.append(f"valid_fraction {histogram.valid_fraction:.6f}")
@@ -79,7 +79,7 @@ def _format_json(histogram) -> str:
 
 def _format_csv(histogram) -> str:
     lines = ["x,y,z,count,valid"]
-    for (xv, yv, zv), count in obfuscator.sorted_entries(histogram):
+    for xv, yv, zv, count in histogram.entries.rows():
         valid = int(xv + yv + zv == histogram.target)
         lines.append(f"{xv},{yv},{zv},{count},{valid}")
     return "\n".join(lines) + "\n"

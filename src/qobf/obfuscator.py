@@ -13,14 +13,21 @@ the triple sum, with the |-> phase ancilla last (index 3n+4). The
 simulation stores amplitudes for the 3n inputs only: the phase
 ancilla's |1> half is the negation of its |0> half, and the other four
 qubits stay |0> (see ``simulate``).
+
+``run`` keeps the decoded outcomes as arrays: a ``DecodedHistogram``
+holds its triplets and counts as a ``TripletCounts``, four int64 arrays
+ordered once, by count descending and then (x, y, z) ascending. That is
+the order of ``sorted_entries``, of ``to_json_dict`` and of the CLI's
+text and CSV rows, which read the arrays through ``.tolist()`` and so
+hold Python ints.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
-from operator import itemgetter
 
 import numpy as np
 
@@ -110,13 +117,84 @@ class ObfuscationPlan:
         return tuple(range(3 * self.bits))
 
 
+class TripletCounts(Mapping):
+    """A read-only (x, y, z) -> count mapping held as four arrays in output order.
+
+    ``x``, ``y``, ``z`` and ``count`` are read-only int64 arrays, one
+    element per distinct triplet, ordered by count descending and then
+    by (x, y, z) ascending. The constructor takes the columns in any
+    order and sorts them once; ``of`` takes any mapping. Iterating
+    gives the triplets in that order as tuples of Python ints, and
+    ``rows`` gives (x, y, z, count) rows. Looking up one triplet builds
+    a dict of them on first use. Two of them compare equal when their
+    arrays do, and one equals any mapping with the same items.
+    """
+
+    __slots__ = ("x", "y", "z", "count", "_lookup")
+
+    def __init__(self, x, y, z, count):
+        try:
+            columns = [np.asarray(column).astype(np.int64, casting="safe", copy=False)
+                       for column in (x, y, z, count)]
+        except TypeError:
+            raise ValueError("triplets and counts must be integers that fit int64") from None
+        if any(column.shape != columns[3].shape or column.ndim != 1 for column in columns):
+            raise ValueError("x, y, z and count must be 1-D arrays of one length")
+        x, y, z, count = columns
+        order = np.lexsort((z, y, x, -count))
+        self.x, self.y, self.z, self.count = (column[order] for column in columns)
+        for column in (self.x, self.y, self.z, self.count):
+            column.flags.writeable = False
+        self._lookup = None
+
+    @classmethod
+    def of(cls, entries: Mapping) -> TripletCounts:
+        """Order any (x, y, z) -> count mapping; a key that is not a 3-tuple is refused."""
+        if not entries:
+            return cls(*np.empty((4, 0), dtype=np.int64))
+        try:
+            keys = np.asarray(list(entries))
+        except ValueError:  # keys of different lengths
+            keys = np.empty(0)
+        if keys.ndim != 2 or keys.shape[1] != 3:
+            raise ValueError("entry keys must be (x, y, z) triplets")
+        return cls(*keys.T, list(entries.values()))
+
+    def rows(self, stop: int | None = None):
+        """(x, y, z, count) rows of Python ints in output order, the first ``stop`` if given."""
+        return zip(*(column[:stop].tolist() for column in (self.x, self.y, self.z, self.count)))
+
+    def __iter__(self):
+        return zip(self.x.tolist(), self.y.tolist(), self.z.tolist())
+
+    def __len__(self) -> int:
+        return self.count.size
+
+    def __getitem__(self, triplet):
+        if self._lookup is None:
+            self._lookup = dict(zip(self, self.count.tolist()))
+        return self._lookup[triplet]
+
+    def __eq__(self, other):
+        if isinstance(other, TripletCounts):
+            return all(np.array_equal(getattr(self, name), getattr(other, name))
+                       for name in ("x", "y", "z", "count"))
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return f"TripletCounts({dict(zip(self, self.count.tolist()))!r})"
+
+
 @dataclass(frozen=True)
 class DecodedHistogram:
     """Sampled measurement outcomes decoded into integer triplets.
 
     ``valid_fraction`` is the sampled estimate; ``exact_success`` is the
     exact marginal probability of the solution set read straight off the
-    final state, immune to shot noise.
+    final state, immune to shot noise. ``entries`` may be given as any
+    (x, y, z) -> count mapping and is held as a ``TripletCounts``, in
+    output order. Every count must be at least 1, the counts must sum
+    to ``shots``, and every register value must fit ``bits`` bits.
     """
 
     target: int
@@ -125,11 +203,20 @@ class DecodedHistogram:
     shots: int
     valid_fraction: float
     exact_success: float
-    entries: dict
+    entries: Mapping
 
     def __post_init__(self):
-        if sum(self.entries.values()) != self.shots:
+        entries = self.entries
+        if not isinstance(entries, TripletCounts):
+            entries = TripletCounts.of(entries)
+            object.__setattr__(self, "entries", entries)
+        if entries.count.min(initial=1) < 1:
+            raise ValueError("every entry count must be at least 1")
+        if int(entries.count.sum()) != self.shots:
             raise ValueError("entry counts must sum to shots")
+        for column in (entries.x, entries.y, entries.z):
+            if column.min(initial=0) < 0 or int(column.max(initial=0)) >= 1 << self.bits:
+                raise ValueError(f"a register value is outside 0..2^{self.bits}-1")
         if not 0.0 <= self.valid_fraction <= 1.0:
             raise ValueError("valid_fraction must be a probability")
         if not 0.0 <= self.exact_success <= 1.0:
@@ -266,6 +353,10 @@ def run(obf_plan: ObfuscationPlan, shots: int = DEFAULT_SHOTS,
         seed: int = DEFAULT_SEED) -> DecodedHistogram:
     """Simulate, sample the input qubits, and decode every outcome.
 
+    The drawn outcomes stay arrays from ``sample_counts`` on: decoded
+    into x, y and z, counted valid through one mask, and ordered once
+    into the histogram's ``TripletCounts``.
+
     Raises, before simulating, a resource error for more than MAX_SHOTS
     shots and a constraint error for fewer than one shot or a negative
     seed.
@@ -280,10 +371,7 @@ def run(obf_plan: ObfuscationPlan, shots: int = DEFAULT_SHOTS,
     counts = sample_counts(marginal, shots, seed)
     outcomes = np.flatnonzero(counts)
     xs, ys, zs = decode(outcomes, obf_plan.bits)
-    # entries in (x, y, z) order, which sorted_entries' first sort then keeps
-    order = np.lexsort((zs, ys, xs))
-    xs, ys, zs, hits = xs[order], ys[order], zs[order], counts[outcomes[order]]
-    entries = dict(zip(zip(xs.tolist(), ys.tolist(), zs.tolist()), hits.tolist()))
+    hits = counts[outcomes]
     valid = int(hits[xs + ys + zs == obf_plan.target].sum())
     return DecodedHistogram(
         target=obf_plan.target,
@@ -292,23 +380,21 @@ def run(obf_plan: ObfuscationPlan, shots: int = DEFAULT_SHOTS,
         shots=shots,
         valid_fraction=valid / shots,
         exact_success=_solution_mass(obf_plan, marginal),
-        entries=entries,
+        entries=TripletCounts(xs, ys, zs, hits),
     )
 
 
 def sorted_entries(histogram: DecodedHistogram) -> list[tuple[tuple[int, int, int], int]]:
-    """Entries by count descending, ties by (x, y, z) ascending.
+    """((x, y, z), count) pairs by count descending, ties by (x, y, z) ascending.
 
-    Two stable sorts: by triplet, then by count, which keeps the
-    triplet order among equal counts.
+    That is the order the histogram's entries are held in, so this reads
+    them as they are.
     """
-    items = sorted(histogram.entries.items(), key=itemgetter(0))
-    items.sort(key=itemgetter(1), reverse=True)
-    return items
+    return [((xv, yv, zv), count) for xv, yv, zv, count in histogram.entries.rows()]
 
 
 def to_json_dict(histogram: DecodedHistogram) -> dict:
-    """Stable wire form of a decoded histogram."""
+    """Stable wire form of a decoded histogram: Python scalars, rows in output order."""
     return {
         "n_value": histogram.target,
         "bits": histogram.bits,
@@ -318,6 +404,6 @@ def to_json_dict(histogram: DecodedHistogram) -> dict:
         "exact_success": histogram.exact_success,
         "counts": [
             {"x": xv, "y": yv, "z": zv, "count": count}
-            for (xv, yv, zv), count in sorted_entries(histogram)
+            for xv, yv, zv, count in histogram.entries.rows()
         ],
     }

@@ -64,7 +64,9 @@ the calling thread then counts the sorted keys against the cumulative
 marginal's keys, in granule order, going back to the uniforms
 themselves only where a key equals one of those. The executor's thread
 is joined before the call returns or raises, and a sort's error is
-raised in the calling thread. That is the same stream and the same
+raised in the calling thread. ``concurrent.futures`` is imported only
+by such a call, so a process that never draws two granules in one call
+does not load it. That is the same stream and the same
 outcome per uniform as one lookup of all of them, so identical (state,
 qubits, shots, seed) give an identical histogram on every platform.
 
@@ -77,7 +79,6 @@ numpy then cannot allocate is refused with a ResourceLimitError.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -594,6 +595,9 @@ def _draws_below(marginal: np.ndarray, shots: int, seed: int) -> np.ndarray:
     if shots <= granule:
         granule_now[1].sort()
     else:
+        # imported here, so a process that draws one granule at a time never loads it
+        from concurrent.futures import ThreadPoolExecutor
+
         # leaving the block joins the helper, also on a raise
         with ThreadPoolExecutor(1, thread_name_prefix="qobf-key-sort") as helper:
             sorting = helper.submit(granule_now[1].sort)
@@ -629,7 +633,7 @@ def sample_counts(marginal: np.ndarray, shots: int, seed: int) -> np.ndarray:
     granule's keys while this thread draws the next; the counting stays
     on this thread and in granule order, and the executor's thread is
     joined before the call returns or raises. One granule starts no
-    thread. Deterministic for a given seed.
+    thread and imports no executor. Deterministic for a given seed.
 
     Raises a ValueError naming the first NaN, infinite or negative
     entry, whose cell would be undefined, before anything is drawn; so

@@ -435,6 +435,25 @@ def run_alone(argv):
     return done.returncode, done.stdout, done.stderr
 
 
+def test_concurrent_futures_loads_only_with_the_sort_thread():
+    # the CLI import and a one-granule run, such as the quick start, start no
+    # thread; a run of two or more granules then loads the executor
+    script = "; ".join([
+        "import sys, qobf.cli",
+        "from qobf import obfuscator",
+        "loaded = lambda: 'concurrent.futures' in sys.modules",
+        "imported = loaded()",
+        "obfuscator.run(obfuscator.plan(19), shots=1024, seed=7)",
+        "one_granule = loaded()",
+        "obfuscator.run(obfuscator.plan(31), shots=10**6, seed=4)",
+        "print(imported, one_granule, loaded())",
+    ])
+    src = str(Path(qobf.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False", "False", "True"]
+
+
 def run_in_process(capsys, argv):
     try:
         code = cli.main(argv)

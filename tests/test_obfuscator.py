@@ -2,14 +2,19 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import tracemalloc
+from operator import itemgetter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qobf import grover
 from qobf.arithmetic import triple_sum_layout
+from qobf.cli import BAR_WIDTH, _format_csv, _format_text
 from qobf.circuit import Circuit, decompose_mcx, depth, gate_counts, h, x
 from qobf.errors import ConstraintError
 from qobf.obfuscator import (
@@ -309,18 +314,48 @@ def test_run_is_deterministic():
     assert run(case, shots=200, seed=12) != first
 
 
+def two_stable_sorts(entries: dict) -> list:
+    """The output order as first defined: by triplet, then stably by count descending."""
+    items = sorted(entries.items(), key=itemgetter(0))
+    items.sort(key=itemgetter(1), reverse=True)
+    return items
+
+
+def assert_run_decodes_like_sample_and_decode(case, shots, seed):
+    histogram = run(case, shots=shots, seed=seed)
+    state, _ = simulate(case)
+    drawn = sample(state, case.input_qubits, shots, seed)
+    # the dict the benchmark's traced request builds: sample, then decode key by key
+    entries = {decode(key, case.bits): count for key, count in drawn.entries.items()}
+    valid = sum(count for triplet, count in entries.items() if sum(triplet) == case.target)
+    assert histogram == DecodedHistogram(
+        target=case.target, bits=case.bits, iterations=case.iterations, shots=shots,
+        valid_fraction=valid / shots, exact_success=solution_probability(case, state),
+        entries=entries)
+    assert histogram.entries == entries
+    assert list(histogram.entries) == [triplet for triplet, _ in two_stable_sorts(entries)]
+
+
 @pytest.mark.parametrize("target, bits", [(3, 1), (7, 2), (19, 3)])
 def test_run_decodes_like_sample_and_decode(target, bits):
-    case = plan(target, bits)
-    histogram = run(case, shots=4000, seed=5)
-    state, _ = simulate(case)
-    drawn = sample(state, case.input_qubits, 4000, 5)
-    entries = {decode(key, bits): count for key, count in drawn.entries.items()}
-    assert histogram.entries == entries
-    assert list(histogram.entries) == sorted(entries)  # in (x, y, z) order
-    valid = sum(count for triplet, count in entries.items() if sum(triplet) == target)
-    assert histogram.valid_fraction == valid / 4000
-    assert histogram.exact_success == solution_probability(case, state)
+    assert_run_decodes_like_sample_and_decode(plan(target, bits), 4000, 5)
+
+
+# the benchmark's probe request, and N=31 at 10^6 shots, where many counts tie
+@pytest.mark.parametrize("target, shots, seed", [(19, 1024, 7), (31, 10**6, 2), (31, 10**6, 4)])
+def test_run_equals_the_traced_requests_histogram(target, shots, seed):
+    assert_run_decodes_like_sample_and_decode(plan(target), shots, seed)
+
+
+def test_wire_form_holds_only_python_scalars():
+    # a numpy scalar would make json.dumps raise
+    wire = to_json_dict(run(plan(31), shots=10**6, seed=4))
+    assert all(type(wire[key]) is int for key in ("n_value", "bits", "iterations", "shots"))
+    assert type(wire["valid_fraction"]) is float and type(wire["exact_success"]) is float
+    assert len(wire["counts"]) > 1000
+    assert all(type(entry[key]) is int
+               for entry in wire["counts"] for key in ("x", "y", "z", "count"))
+    json.dumps(wire)
 
 
 def test_decode_known_bitstring():
@@ -379,19 +414,36 @@ def test_decode_refuses_non_integer_indices(index):
     with pytest.raises(ConstraintError, match="must be an integer"):
         decode(index, 1)
 
+
+# each change makes the histogram impossible, with the message it is refused with
+IMPOSSIBLE = [
+    ({"entries": {(1, 1, 1): 9}}, "sum to shots"),
+    ({"valid_fraction": 1.5}, "valid_fraction"),
+    ({"exact_success": 1.5}, "exact_success"),
+    # from here on the counts sum to shots
+    ({"entries": {(1, 1, 1): 12, (0, 0, 0): -2, (5, 0, 0): 0}}, "at least 1"),
+    ({"entries": {(1, 1, 1): 10, (0, 0, 0): 0}}, "at least 1"),
+    ({"entries": {(1, 1, 1): 8, (2, 0, 1): 2}}, r"outside 0..2\^1-1"),
+    ({"entries": {(1, 1, 1): 12, (0, -1, 0): -2}}, "at least 1"),
+    ({"entries": {(1, 1, 1): 8, (0, -1, 0): 2}}, r"outside 0..2\^1-1"),
+    ({"entries": {(1, 1, 1, 0): 10}}, "triplets"),
+    ({"entries": {(1, 1): 10}}, "triplets"),
+    ({"entries": {(1, 1, 1): 8, (1, 1): 2}}, "triplets"),
+    ({"entries": {7: 10}}, "triplets"),
+    ({"entries": {(1, 1, 1.0): 10}}, "integers"),
+    ({"entries": {(1, 1, 1): 10.0}}, "integers"),
+    ({"entries": {("1", "1", "1"): 10}}, "integers"),
+    ({"entries": {(2**63, 0, 0): 10}}, "fit int64"),
+]
+
+
 def test_histogram_invariants_enforced():
-    with pytest.raises(ValueError):
-        DecodedHistogram(target=3, bits=1, iterations=2, shots=10,
-                         valid_fraction=0.5, exact_success=0.5,
-                         entries={(1, 1, 1): 9})
-    with pytest.raises(ValueError):
-        DecodedHistogram(target=3, bits=1, iterations=2, shots=10,
-                         valid_fraction=1.5, exact_success=0.5,
-                         entries={(1, 1, 1): 10})
-    with pytest.raises(ValueError):
-        DecodedHistogram(target=3, bits=1, iterations=2, shots=10,
-                         valid_fraction=0.5, exact_success=1.5,
-                         entries={(1, 1, 1): 10})
+    good = dict(target=3, bits=1, iterations=2, shots=10, valid_fraction=0.5,
+                exact_success=0.5, entries={(1, 1, 1): 10})
+    DecodedHistogram(**good)
+    for change, message in IMPOSSIBLE:
+        with pytest.raises(ValueError, match=message):
+            DecodedHistogram(**(good | change))
 
 
 def test_sorted_entries_breaks_count_ties_by_triplet():
@@ -405,6 +457,67 @@ def test_sorted_entries_breaks_count_ties_by_triplet():
         ((0, 2, 1), 5), ((1, 1, 1), 5), ((2, 0, 1), 5),
         ((3, 0, 0), 1),
     ]
+
+
+def reference_text(histogram, items, top):
+    """cli._format_text as first written, over ((x, y, z), count) items in output order."""
+    ranked = items[:top]
+    peak = ranked[0][1] if ranked else 1
+    lines = [
+        f"target {histogram.target}  bits {histogram.bits}  "
+        f"iterations {histogram.iterations}  shots {histogram.shots}",
+        f"{'x':>4} {'y':>4} {'z':>4} {'count':>7}",
+    ]
+    for (xv, yv, zv), count in ranked:
+        bar = "#" * max(1, round(BAR_WIDTH * count / peak))
+        lines.append(f"{xv:>4} {yv:>4} {zv:>4} {count:>7}  {bar}")
+    lines.append(f"valid_fraction {histogram.valid_fraction:.6f}")
+    lines.append(f"exact_success {histogram.exact_success:.6f}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_csv(histogram, items):
+    """cli._format_csv as first written."""
+    lines = ["x,y,z,count,valid"]
+    for (xv, yv, zv), count in items:
+        valid = int(xv + yv + zv == histogram.target)
+        lines.append(f"{xv},{yv},{zv},{count},{valid}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def scrambled_histograms(draw):
+    """Random triplet -> count dicts, counts 1..4 so that many tie, in a drawn order."""
+    bits = draw(st.integers(1, 4))
+    value = st.integers(0, 2**bits - 1)
+    drawn = draw(st.dictionaries(st.tuples(value, value, value), st.integers(1, 4),
+                                 max_size=60))
+    entries = {key: drawn[key] for key in draw(st.permutations(list(drawn)))}
+    target = draw(st.integers(1, 3 * (2**bits - 1)))
+    shots = sum(entries.values())
+    valid = sum(count for triplet, count in entries.items() if sum(triplet) == target)
+    return entries, DecodedHistogram(
+        target=target, bits=bits, iterations=1, shots=shots,
+        valid_fraction=valid / shots if shots else 0.0,
+        exact_success=draw(st.floats(0.0, 1.0)), entries=entries)
+
+
+@given(scrambled_histograms(), st.integers(1, 70))
+def test_every_output_reads_the_one_order(case, top):
+    entries, histogram = case
+    items = two_stable_sorts(entries)
+    assert sorted_entries(histogram) == items
+    wire = {"n_value": histogram.target, "bits": histogram.bits,
+            "iterations": histogram.iterations, "shots": histogram.shots,
+            "valid_fraction": histogram.valid_fraction,
+            "exact_success": histogram.exact_success,
+            "counts": [{"x": xv, "y": yv, "z": zv, "count": count}
+                       for (xv, yv, zv), count in items]}
+    assert to_json_dict(histogram) == wire
+    assert json.dumps(to_json_dict(histogram)) == json.dumps(wire)
+    assert _format_csv(histogram) == reference_csv(histogram, items)
+    assert _format_text(histogram, top) == reference_text(histogram, items, top)
+    assert histogram.entries == entries and dict(histogram.entries) == entries
 
 
 def test_json_wire_format():

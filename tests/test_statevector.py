@@ -1,5 +1,6 @@
 """Gate kernels checked against dense matrices and a gate-by-gate reference kernel."""
 
+import concurrent.futures
 import math
 import re
 import threading
@@ -948,12 +949,12 @@ def test_sample_counts_joins_its_sort_thread_also_when_it_raises(monkeypatch):
     def sort_fails():
         raise MemoryError("second sort")
 
-    class FailsSecondSort(statevector.ThreadPoolExecutor):
+    class FailsSecondSort(concurrent.futures.ThreadPoolExecutor):
         def submit(self, fn, /, *args, **kwargs):
             submitted.append(fn)
             return super().submit(sort_fails if len(submitted) == 2 else fn, *args, **kwargs)
 
-    monkeypatch.setattr(statevector, "ThreadPoolExecutor", FailsSecondSort)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", FailsSecondSort)
     with pytest.raises(MemoryError, match="second sort"):
         sample_counts(marginal, 10**6, 4)
     assert len(submitted) == 2 and len(started) == 3 and not started[2].is_alive()
