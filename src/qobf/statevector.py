@@ -55,14 +55,14 @@ uniforms from PCG64 (O'Neill's permuted congruential generator,
 XSL-RR 128/64 variant, as shipped by numpy and seeded through numpy's
 SeedSequence). The uniforms are drawn in order, one granule at a
 time, into reused buffers: half of SAMPLE_CHUNK when at most that many
-cumulative values lie below 1, else a whole chunk, since every granule
-searches every value's cell. A granule's 32-bit keys floor(u * 2^32)
-sort in about half the time of the float64 uniforms. When a call has
-two or more granules, the one thread of a ThreadPoolExecutor sorts
-each granule's keys while the calling thread draws and keys the next;
-the calling thread then counts the sorted keys against the cumulative
-marginal's keys, in granule order, going back to the uniforms
-themselves only where a key equals one of those. The executor's thread
+cumulative values lie below 1, else a whole chunk. A granule's 32-bit
+keys floor(u * 2^32) sort in about half the time of the float64
+uniforms. When a call has two or more granules, the one thread of a
+ThreadPoolExecutor sorts each granule's keys while the calling thread
+draws and keys the next. The calling thread counts each granule, in
+order, per outcome: it looks the shorter of the sorted keys and the
+cumulative values' cells up in the longer, and goes back to the
+uniforms themselves only where a key equals a cell. The executor's thread
 is joined before the call returns or raises, and a sort's error is
 raised in the calling thread. ``concurrent.futures`` is imported only
 by such a call, so a process that never draws two granules in one call
@@ -90,7 +90,7 @@ from .errors import ConstraintError, ResourceLimitError
 DEFAULT_MAX_QUBITS = 26
 
 # uniforms drawn, keyed, sorted and counted at a time by sample_counts
-# (half of it when the cells below 1 fit in half), and cells searched at a time
+# (half of it when the cells below 1 fit in half)
 SAMPLE_CHUNK = 1 << 18
 
 # a uniform u's 32-bit key is floor(u * _KEYS)
@@ -523,28 +523,60 @@ def _cell_counts(scaled: np.ndarray, spare: np.ndarray, values: np.ndarray) -> n
     return np.searchsorted(near, values) - np.searchsorted(near, floors)
 
 
-def _tied_cells(keys: np.ndarray, cells: np.ndarray, found: np.ndarray) -> np.ndarray:
-    """Indices of the sorted ``cells`` that equal some of the sorted ``keys``.
+def _add_granule(counts: np.ndarray, cells: np.ndarray, cdf: np.ndarray,
+                 scaled: np.ndarray, sorted_keys: np.ndarray, key_buffer: np.ndarray):
+    """Add a granule's draws to ``counts``, per outcome; see sample_counts.
 
-    found[k] is the number of keys below cells[k], so cell k equals a
-    key when the key at found[k] does. When looking each key up among
-    the cells takes fewer steps than that pass over the cells, the keys
-    are looked up first, and the pass is left out if none of them is a
-    cell.
+    The shorter sorted list is looked up in the longer: each cell among
+    the keys when the granule holds at least as many keys as cells, else
+    each key among the cells. A tied cell, one that equals some key, adds
+    the draws below its cumulative value at it and takes them off the
+    next outcome.
     """
-    if keys.size * cells.size.bit_length() < cells.size:
-        at = np.searchsorted(cells, keys)
-        if not np.any(cells.take(at, mode="clip") == keys):
-            return at[:0]
-    return np.flatnonzero(keys.take(found, mode="clip") == cells)
+    top = cells.size
+    if sorted_keys.size >= top:
+        found = np.searchsorted(sorted_keys, cells)  # keys below each cell
+        counts[:top] += found
+        counts[1:top + 1] -= found
+        counts[top] += sorted_keys.size
+        tied = np.flatnonzero(sorted_keys.take(found, mode="clip") == cells)
+    else:
+        at = np.searchsorted(cells, sorted_keys, side="right")  # cells at or below each key
+        np.add.at(counts, at, 1)
+        at -= 1  # in place: the last cell at or below each key, -1 for none
+        hits = at[cells.take(at, mode="clip") == sorted_keys]
+        # sorted as the keys are, so the first of each run; np.unique's
+        # first call in a process adds 1.7 MiB of RSS
+        last = hits[np.diff(hits, prepend=-1) > 0]
+        # repeated cells (zero entries) are each tied, from the first equal one on
+        starts = np.searchsorted(cells, cells.take(last))
+        tied = np.concatenate([last[:0], *map(np.arange, starts, last + 1)])
+    if tied.size:
+        settled = _cell_counts(scaled, key_buffer, cdf[tied] * _KEYS)
+        counts[tied] += settled
+        counts[tied + 1] -= settled
 
 
-def _draws_below(marginal: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """below[k] = the draws with outcome <= k; see sample_counts.
+def sample_counts(marginal: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Shot counts per outcome index, drawn from ``marginal``.
 
-    Its own function, so that the cumulative marginal, its cells and
-    the granule buffers are freed before the caller takes differences.
+    Inverse-CDF sampling: the outcome of a PCG64(seed) uniform u is the
+    number of cumulative-marginal entries <= u, clamped to the last
+    outcome, so outcome k gets the draws in [cdf[k-1], cdf[k]). The
+    uniforms are drawn a granule at a time (the same stream as one draw
+    of ``shots``), scaled by 2^32, and their 32-bit keys floor(u * 2^32)
+    sorted, as the module docstring describes. A key below the cell
+    floor(c * 2^32) of a cumulative value c < 1 is a draw below c, a key
+    above it a draw above c; where a key equals the cell, the draws in
+    it with u * 2^32 < c * 2^32 are counted (``_cell_counts``). Both
+    products are exact, so every count is that of u < c; a c >= 1 takes
+    every draw. Deterministic for a given seed.
+
+    Raises a ValueError naming the first NaN, infinite or negative
+    entry, whose cell would be undefined, before anything is drawn; so
+    does a marginal whose sum overflows a float.
     """
+    check_sampling(shots, seed)
     cdf = np.cumsum(marginal)
     if not (marginal.min() >= 0.0 and cdf[-1] < np.inf):
         # NaN, negative or infinite, or the entry that takes the sum past the float range
@@ -558,10 +590,13 @@ def _draws_below(marginal: np.ndarray, shots: int, seed: int) -> np.ndarray:
     cells = np.empty(top, dtype=np.uint32)
     np.multiply(cdf[:top], _KEYS, out=cells, casting="unsafe")
     rng = np.random.Generator(np.random.PCG64(seed))
-    # written rather than calloc'd: adding into untouched zero pages faults each one twice
-    below = np.full(len(marginal), 0, dtype=np.int64)
-    # every granule searches every cell, so granules are halved only
-    # where that search is short; two halves in flight hold one chunk's buffers
+    # one slot past the last outcome, for the draws above every cell when
+    # all of them are below 1; written rather than calloc'd: adding into
+    # untouched zero pages faults each one twice
+    counts = np.full(len(marginal) + 1, 0, dtype=np.int64)
+    # halved only where half a chunk of keys is no fewer than the cells, so
+    # two halves in flight hold one chunk's buffers; a whole chunk lets the
+    # cheaper cell direction serve up to 2^18 cells, N=127's input width
     granule = SAMPLE_CHUNK // 2 if top <= SAMPLE_CHUNK // 2 else SAMPLE_CHUNK
     size = min(granule, shots)
     # one float64 and one uint32 buffer per granule in flight; tie
@@ -579,18 +614,6 @@ def _draws_below(marginal: np.ndarray, shots: int, seed: int) -> np.ndarray:
         np.copyto(keys, scaled, casting="unsafe")
         return scaled, keys, key_buffer
 
-    def count(scaled: np.ndarray, sorted_keys: np.ndarray, key_buffer: np.ndarray):
-        """Add a granule whose keys are sorted into ``below``."""
-        tied = np.zeros(0, dtype=np.intp)
-        # a chunk's length of cells at a time, which bounds the positions held
-        for lo in range(0, top, SAMPLE_CHUNK):
-            part = cells[lo:lo + SAMPLE_CHUNK]
-            found = np.searchsorted(sorted_keys, part)
-            below[lo:lo + part.size] += found
-            tied = np.append(tied, lo + _tied_cells(sorted_keys, part, found))
-        if tied.size:
-            below[tied] += _cell_counts(scaled, key_buffer, cdf[tied] * _KEYS)
-
     granule_now = draw(0)
     if shots <= granule:
         granule_now[1].sort()
@@ -606,47 +629,12 @@ def _draws_below(marginal: np.ndarray, shots: int, seed: int) -> np.ndarray:
                 granule_next = draw(start)
                 sorting.result()  # raises what the sort raised
                 sorting = helper.submit(granule_next[1].sort)
-                count(*granule_now)
+                _add_granule(counts, cells, cdf, *granule_now)
                 granule_now = granule_next
             sorting.result()
-    count(*granule_now)
-    below[min(top, len(below) - 1):] = shots  # the last outcome takes the tail
-    return below
-
-
-def sample_counts(marginal: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Shot counts per outcome index, drawn from ``marginal``.
-
-    Inverse-CDF sampling: the outcome of a PCG64(seed) uniform u is the
-    number of cumulative-marginal entries <= u, clamped to the last
-    outcome, so outcome k gets the draws in [cdf[k-1], cdf[k]). The
-    uniforms are drawn a granule at a time (the same stream as one draw
-    of ``shots``) and scaled by 2^32: SAMPLE_CHUNK // 2 of them when at
-    most that many cumulative values are below 1, so that two granules
-    take one chunk's buffers, else SAMPLE_CHUNK. Each granule's 32-bit
-    keys floor(u * 2^32), not the uniforms, are sorted, and each
-    cumulative value c below 1 counts the keys below its cell
-    floor(c * 2^32); where a key equals the cell, the draws in it with
-    u * 2^32 < c * 2^32 are added (``_cell_counts``). Both products are
-    exact, so every count is that of u < c; a c >= 1 takes every draw.
-    With two or more granules, a one-thread ThreadPoolExecutor sorts a
-    granule's keys while this thread draws the next; the counting stays
-    on this thread and in granule order, and the executor's thread is
-    joined before the call returns or raises. One granule starts no
-    thread and imports no executor. Deterministic for a given seed.
-
-    Raises a ValueError naming the first NaN, infinite or negative
-    entry, whose cell would be undefined, before anything is drawn; so
-    does a marginal whose sum overflows a float.
-    """
-    check_sampling(shots, seed)
-    below = _draws_below(marginal, shots, seed)
-    # one new array: np.diff(prepend=0) would add a padded copy, which
-    # took about 1.2x the time at 2^21 outcomes and 1024 shots
-    counts = np.empty_like(below)
-    counts[0] = below[0]
-    np.subtract(below[1:], below[:-1], out=counts[1:])
-    return counts
+    _add_granule(counts, cells, cdf, *granule_now)
+    counts[-2] += counts[-1]  # the last outcome takes the tail
+    return counts[:-1]
 
 
 def sample(state: StateVector, qubits, shots: int, seed: int) -> Histogram:

@@ -819,11 +819,12 @@ def near_draw(u, kind):
             "cell_start": cell, "cell_end": cell + CELL}[kind]
 
 
-def marginal_with_cdf(values):
-    """Entries whose np.cumsum runs through ``values`` (nondecreasing, >= 0):
-    each entry is the step, nudged by ulps until the running sum lands on
-    its value, or on the float just below it where rounding skips it."""
-    entries, total = [], 0.0
+def marginal_with_cdf(values, total=0.0):
+    """Entries whose np.cumsum, continued from ``total``, runs through
+    ``values`` (nondecreasing, >= total): each entry is the step, nudged
+    by ulps until the running sum lands on its value, or on the float
+    just below it where rounding skips it."""
+    entries = []
     for value in values:
         step = value - total
         while total + step < value:
@@ -854,6 +855,16 @@ def test_sample_counts_at_cumulative_values_on_and_beside_draws(seed, shots, pic
     marginal = marginal_with_cdf(sorted(values + values[::3] + over))
     counts = sample_counts(marginal, shots, seed)
     assert np.array_equal(counts, reference_counts(marginal, shots, seed))
+    # the same values above 2^18 equal small entries (a power of two, which
+    # sum exactly to at most the lowest value), so that every granule holds
+    # fewer keys than there are cells below 1 and looks its keys up among them
+    low = min(values)
+    step = 2.0 ** (math.frexp(low)[1] - 19) if low > 0.0 else 0.0
+    padded = np.concatenate([np.full(1 << 18, step),
+                             marginal_with_cdf(sorted(values + values[::3] + over), (1 << 18) * step)])
+    for padded_shots in (1, 7, 1024, SAMPLE_CHUNK + 1):
+        counts = sample_counts(padded, padded_shots, seed)
+        assert np.array_equal(counts, reference_counts(padded, padded_shots, seed))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
@@ -873,11 +884,11 @@ def test_sample_counts_refuses_entries_the_keys_cannot_order(bad, monkeypatch):
 
 def test_sample_counts_memory_stays_within_three_outcome_arrays():
     # N=255's marginal has 2^21 outcomes. Beside it, sampling holds the
-    # cdf, its uint32 cells and the summed positions, 2.5 outcome arrays;
-    # one slice of 2^18 cells' positions, stop keys and matches (3.25
-    # MiB, under the half array left); two granules' float64 draws and
-    # uint32 keys (3 MiB each at this width); small objects (under 64
-    # KiB); then the summed positions and the counts
+    # cdf, its uint32 cells and the counts, 2.5 outcome arrays; two
+    # granules' float64 draws and uint32 keys (3 MiB each at this width);
+    # one granule's positions among the cells, the cells at them and the
+    # tie mask (3.25 MiB, under the half array left); small objects (under
+    # 64 KiB)
     marginal = np.random.default_rng(5).random(1 << 21)
     marginal /= marginal.sum()
     bound = 3 * marginal.nbytes + 2 * SAMPLE_CHUNK * 8 + 2**16
@@ -915,6 +926,28 @@ def test_sample_counts_settles_tied_cells_at_n31_with_a_million_shots(seed, monk
     assert np.array_equal(counts, reference_counts(marginal, 10**6, seed))
 
 
+def test_sample_counts_looks_the_shorter_sorted_list_up_in_the_longer(monkeypatch):
+    # at 2^21 outcomes (N=255's inputs) 1024 keys are looked up among the
+    # cells; at N=31 the 4095 cells among each granule of 2^17 keys. No
+    # other lookup is longer: a tie looks up its few matched values
+    wide = np.random.default_rng(5).random(1 << 21)
+    wide /= wide.sum()
+    searchsorted, needles = np.searchsorted, []
+
+    def recorded(a, v, *args, **kwargs):
+        needles.append(np.size(v))
+        return searchsorted(a, v, *args, **kwargs)
+
+    for marginal, shots in ((wide, 1024), (n_value_marginal(31), 10**6)):
+        top = int(np.searchsorted(np.cumsum(marginal), 1.0))
+        needles.clear()
+        monkeypatch.setattr(np, "searchsorted", recorded)
+        counts = sample_counts(marginal, shots, 7)
+        monkeypatch.undo()
+        assert max(needles) <= min(shots, SAMPLE_CHUNK, top)
+        assert np.array_equal(counts, reference_counts(marginal, shots, 7))
+
+
 def test_sample_counts_joins_its_sort_thread_also_when_it_raises(monkeypatch):
     marginal = n_value_marginal(31)
     started = []
@@ -928,22 +961,22 @@ def test_sample_counts_joins_its_sort_thread_also_when_it_raises(monkeypatch):
     before = threading.active_count()
     assert np.array_equal(sample_counts(marginal, 10**6, 4), reference_counts(marginal, 10**6, 4))
     assert len(started) == 1 and threading.active_count() == before
-    # N=31's 4096 cells are one slice, so the second call is the second granule's
-    tied_cells, calls = statevector._tied_cells, []
+    # each granule is added to the counts by one call
+    add_granule, calls = statevector._add_granule, []
 
     def fails_on_second_granule(*args):
         calls.append(args)
         if len(calls) == 2:
             raise MemoryError("second granule")
-        return tied_cells(*args)
+        return add_granule(*args)
 
-    monkeypatch.setattr(statevector, "_tied_cells", fails_on_second_granule)
+    monkeypatch.setattr(statevector, "_add_granule", fails_on_second_granule)
     with pytest.raises(MemoryError, match="second granule"):
         sample_counts(marginal, 10**6, 4)
     assert len(started) == 2 and not started[1].is_alive()
     assert threading.active_count() == before
     # and so does the helper's sort of the second granule
-    monkeypatch.setattr(statevector, "_tied_cells", tied_cells)
+    monkeypatch.setattr(statevector, "_add_granule", add_granule)
     submitted = []
 
     def sort_fails():
