@@ -53,22 +53,29 @@ prefix of the stored qubits, 0..m-1, which for the pipeline are its
 3n inputs. Sampling draws shots by inverse CDF over it, with
 uniforms from PCG64 (O'Neill's permuted congruential generator,
 XSL-RR 128/64 variant, as shipped by numpy and seeded through numpy's
-SeedSequence). The uniforms are drawn in order, one granule at a
-time, into reused buffers: half of SAMPLE_CHUNK when at most that many
-cumulative values lie below 1, else a whole chunk. A granule's 32-bit
-keys floor(u * 2^32) sort in about half the time of the float64
-uniforms. When a call has two or more granules, the one thread of a
-ThreadPoolExecutor sorts each granule's keys while the calling thread
-draws and keys the next. The calling thread counts each granule, in
-order, per outcome: it looks the shorter of the sorted keys and the
-cumulative values' cells up in the longer, and goes back to the
-uniforms themselves only where a key equals a cell. The executor's thread
-is joined before the call returns or raises, and a sort's error is
+SeedSequence). The uniforms are drawn a granule at a time into reused
+buffers: half of SAMPLE_CHUNK when at most that many cumulative values
+lie below 1, else a whole chunk. A granule's 32-bit keys floor(u *
+2^32) sort in about half the time of the float64 uniforms. A granule
+is counted per outcome: the shorter of its sorted keys and the
+cumulative values' cells is looked up in the longer, and the uniforms
+themselves are read only where a key equals a cell. A call of one
+granule runs in the calling thread. A call of two or more runs two
+lanes, each drawing, keying, sorting and counting its own granules:
+the calling thread takes draws [0, h), h = ceil(shots / 2), and the
+one thread of a ThreadPoolExecutor takes [h, shots), each from its
+own PCG64(seed) advanced to its first draw (O(log n) steps;
+``jumped()`` would start another stream). Both add into one counts
+array under one lock, which keeps one lookup in memory at a time;
+integer sums do not depend on the order they are added in. A raise in
+either lane stops the other before its next granule. The executor's
+thread is joined before the call returns or raises, and an error is
 raised in the calling thread. ``concurrent.futures`` is imported only
-by such a call, so a process that never draws two granules in one call
-does not load it. That is the same stream and the same
-outcome per uniform as one lookup of all of them, so identical (state,
-qubits, shots, seed) give an identical histogram on every platform.
+by a call of two or more granules, so a process that never draws two
+granules in one call does not load it. That is the same stream and
+the same outcome per uniform as one lookup of all of them, so
+identical (state, qubits, shots, seed) give an identical histogram on
+every platform.
 
 Widths above ``max_qubits()`` (default 26, about 512 MiB of dense
 amplitudes) are refused; the cap is compared with the full width, not
@@ -563,9 +570,12 @@ def sample_counts(marginal: np.ndarray, shots: int, seed: int) -> np.ndarray:
     Inverse-CDF sampling: the outcome of a PCG64(seed) uniform u is the
     number of cumulative-marginal entries <= u, clamped to the last
     outcome, so outcome k gets the draws in [cdf[k-1], cdf[k]). The
-    uniforms are drawn a granule at a time (the same stream as one draw
-    of ``shots``), scaled by 2^32, and their 32-bit keys floor(u * 2^32)
-    sorted, as the module docstring describes. A key below the cell
+    uniforms are drawn a granule at a time, scaled by 2^32, and their
+    32-bit keys floor(u * 2^32) sorted; with two or more granules, the
+    calling thread does this for the first half of the shots and one
+    executor thread for the second, each from its own PCG64(seed)
+    advanced to its half, so the halves are the stream of one draw of
+    ``shots``, as the module docstring describes. A key below the cell
     floor(c * 2^32) of a cumulative value c < 1 is a draw below c, a key
     above it a draw above c; where a key equals the cell, the draws in
     it with u * 2^32 < c * 2^32 are counted (``_cell_counts``). Both
@@ -589,50 +599,66 @@ def sample_counts(marginal: np.ndarray, shots: int, seed: int) -> np.ndarray:
     top = int(np.searchsorted(cdf, 1.0))
     cells = np.empty(top, dtype=np.uint32)
     np.multiply(cdf[:top], _KEYS, out=cells, casting="unsafe")
-    rng = np.random.Generator(np.random.PCG64(seed))
     # one slot past the last outcome, for the draws above every cell when
     # all of them are below 1; written rather than calloc'd: adding into
     # untouched zero pages faults each one twice
     counts = np.full(len(marginal) + 1, 0, dtype=np.int64)
     # halved only where half a chunk of keys is no fewer than the cells, so
-    # two halves in flight hold one chunk's buffers; a whole chunk lets the
-    # cheaper cell direction serve up to 2^18 cells, N=127's input width
+    # the two lanes' granules hold one chunk's buffers; a whole chunk lets
+    # the cheaper cell direction serve up to 2^18 cells, N=127's input width
     granule = SAMPLE_CHUNK // 2 if top <= SAMPLE_CHUNK // 2 else SAMPLE_CHUNK
-    size = min(granule, shots)
-    # one float64 and one uint32 buffer per granule in flight; tie
-    # resolution reuses the keys' buffer as intp, so its length is even
-    buffers = [(np.empty(size), np.empty(size + size % 2, dtype=np.uint32))
-               for _ in range(1 + (shots > granule))]
 
-    def draw(start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The granule at ``start``: its scaled draws, keys and key buffer."""
-        draws, key_buffer = buffers[start // granule % 2]
-        scaled = draws[:min(granule, shots - start)]
+    def lane_buffers(draws: int) -> tuple[np.ndarray, np.ndarray]:
+        """A float64 and a uint32 buffer for granules of a lane of ``draws``;
+        tie resolution reuses the keys' buffer as intp, so its length is even."""
+        size = min(granule, draws)
+        return np.empty(size), np.empty(size + size % 2, dtype=np.uint32)
+
+    def draw(rng, buffers, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The next ``size`` draws of ``rng``: scaled, their keys sorted, and the key buffer."""
+        draws, key_buffer = buffers
+        scaled = draws[:size]
         rng.random(out=scaled)
         scaled *= _KEYS
-        keys = key_buffer[:scaled.size]
+        keys = key_buffer[:size]
         np.copyto(keys, scaled, casting="unsafe")
+        keys.sort()
         return scaled, keys, key_buffer
 
-    granule_now = draw(0)
     if shots <= granule:
-        granule_now[1].sort()
+        rng = np.random.Generator(np.random.PCG64(seed))
+        _add_granule(counts, cells, cdf, *draw(rng, lane_buffers(shots), shots))
     else:
-        # imported here, so a process that draws one granule at a time never loads it
+        # imported here, so a process that draws one granule at a time never loads the executor
+        import threading
         from concurrent.futures import ThreadPoolExecutor
 
+        half = (shots + 1) // 2
+        adding, failed = threading.Lock(), threading.Event()
+
+        def lane(start: int, stop: int, buffers) -> None:
+            """Add draws [start, stop) of the stream to ``counts``, a granule at a time."""
+            try:
+                bit_generator = np.random.PCG64(seed)
+                bit_generator.advance(start)  # not jumped(), which is another stream
+                rng = np.random.Generator(bit_generator)
+                for lo in range(start, stop, granule):
+                    if failed.is_set():
+                        return
+                    granule_now = draw(rng, buffers, min(granule, stop - lo))
+                    # one lookup in flight; the counts are integer sums, so
+                    # the lanes may add their granules in any order
+                    with adding:
+                        _add_granule(counts, cells, cdf, *granule_now)
+            except BaseException:
+                failed.set()  # stops the other lane before its next granule
+                raise
+
         # leaving the block joins the helper, also on a raise
-        with ThreadPoolExecutor(1, thread_name_prefix="qobf-key-sort") as helper:
-            sorting = helper.submit(granule_now[1].sort)
-            for start in range(granule, shots, granule):
-                # drawn while the helper sorts the granule before it
-                granule_next = draw(start)
-                sorting.result()  # raises what the sort raised
-                sorting = helper.submit(granule_next[1].sort)
-                _add_granule(counts, cells, cdf, *granule_now)
-                granule_now = granule_next
-            sorting.result()
-    _add_granule(counts, cells, cdf, *granule_now)
+        with ThreadPoolExecutor(1, thread_name_prefix="qobf-sample-lane") as helper:
+            second = helper.submit(lane, half, shots, lane_buffers(shots - half))
+            lane(0, half, lane_buffers(half))
+            second.result()  # raises what the helper's lane raised
     counts[-2] += counts[-1]  # the last outcome takes the tail
     return counts[:-1]
 

@@ -1,6 +1,5 @@
 """Gate kernels checked against dense matrices and a gate-by-gate reference kernel."""
 
-import concurrent.futures
 import math
 import re
 import threading
@@ -792,8 +791,12 @@ def reference_counts(marginal, shots, seed):
 @pytest.mark.parametrize("outcomes, shots", [
     *(pytest.param(64, shots, id=str(shots))
       for shots in (SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 3 * SAMPLE_CHUNK + 7)),
-    # cells below 1 on either side of the half-chunk granule rule, three granules and 7 shots
-    (SAMPLE_CHUNK // 2 - 1, 3 * SAMPLE_CHUNK // 2 + 7), (SAMPLE_CHUNK // 2 + 1, 3 * SAMPLE_CHUNK + 7)])
+    # cells below 1 on either side of the half-chunk granule rule; the two
+    # lanes' halves hold one granule each, two, or split one
+    *((outcomes, copies * granule + extra)
+      for outcomes, granule in ((SAMPLE_CHUNK // 2 - 1, SAMPLE_CHUNK // 2),
+                                (SAMPLE_CHUNK // 2 + 1, SAMPLE_CHUNK))
+      for copies, extra in ((1, 1), (2, 0), (2, 1), (3, 7)))])
 def test_sample_counts_equal_one_searchsorted_over_all_draws(outcomes, shots):
     rng = np.random.default_rng(shots)
     marginal = rng.random(outcomes)
@@ -884,15 +887,16 @@ def test_sample_counts_refuses_entries_the_keys_cannot_order(bad, monkeypatch):
 
 def test_sample_counts_memory_stays_within_three_outcome_arrays():
     # N=255's marginal has 2^21 outcomes. Beside it, sampling holds the
-    # cdf, its uint32 cells and the counts, 2.5 outcome arrays; two
-    # granules' float64 draws and uint32 keys (3 MiB each at this width);
+    # cdf, its uint32 cells and the counts, 2.5 outcome arrays; the two
+    # lanes' float64 draws and uint32 keys (3 MiB each at this width);
     # one granule's positions among the cells, the cells at them and the
-    # tie mask (3.25 MiB, under the half array left); small objects (under
-    # 64 KiB)
+    # tie mask (3.25 MiB, under the half array left), as the lock keeps
+    # one lookup in flight, also at 10^6 shots with both lanes busy;
+    # small objects (under 64 KiB)
     marginal = np.random.default_rng(5).random(1 << 21)
     marginal /= marginal.sum()
     bound = 3 * marginal.nbytes + 2 * SAMPLE_CHUNK * 8 + 2**16
-    for shots, seed in ((1024, 3), (SAMPLE_CHUNK + 1, 7), (2 * SAMPLE_CHUNK, 11)):
+    for shots, seed in ((1024, 3), (SAMPLE_CHUNK + 1, 7), (2 * SAMPLE_CHUNK, 11), (10**6, 13)):
         tracemalloc.start()
         try:
             counts = sample_counts(marginal, shots, seed)
@@ -949,6 +953,8 @@ def test_sample_counts_looks_the_shorter_sorted_list_up_in_the_longer(monkeypatc
 
 
 def test_sample_counts_joins_its_sort_thread_also_when_it_raises(monkeypatch):
+    # the calling thread draws, sorts and adds the first half of the
+    # shots, the one helper thread the second half
     marginal = n_value_marginal(31)
     started = []
 
@@ -961,37 +967,33 @@ def test_sample_counts_joins_its_sort_thread_also_when_it_raises(monkeypatch):
     before = threading.active_count()
     assert np.array_equal(sample_counts(marginal, 10**6, 4), reference_counts(marginal, 10**6, 4))
     assert len(started) == 1 and threading.active_count() == before
-    # each granule is added to the counts by one call
-    add_granule, calls = statevector._add_granule, []
+    # each granule is added to the counts by one call, on its lane's thread
+    add_granule, caller, added = statevector._add_granule, threading.current_thread(), []
 
-    def fails_on_second_granule(*args):
-        calls.append(args)
-        if len(calls) == 2:
-            raise MemoryError("second granule")
-        return add_granule(*args)
+    def fails_in(lane):
+        def add(*args):
+            in_caller = threading.current_thread() is caller
+            added.append(in_caller)
+            if in_caller == (lane == "caller"):
+                raise MemoryError(f"{lane} lane")
+            return add_granule(*args)
+        return add
 
-    monkeypatch.setattr(statevector, "_add_granule", fails_on_second_granule)
-    with pytest.raises(MemoryError, match="second granule"):
-        sample_counts(marginal, 10**6, 4)
-    assert len(started) == 2 and not started[1].is_alive()
+    for calls, lane in enumerate(("caller", "helper"), start=2):
+        monkeypatch.setattr(statevector, "_add_granule", fails_in(lane))
+        with pytest.raises(MemoryError, match=f"{lane} lane"):
+            sample_counts(marginal, 10**6, 4)
+        assert len(started) == calls and not started[-1].is_alive()
+        assert threading.active_count() == before
+    # the failed lane stops the other one: at 10^7 shots each lane has 39
+    # granules of 2^17, and the caller's fails on its first
+    added.clear()
+    monkeypatch.setattr(statevector, "_add_granule", fails_in("caller"))
+    with pytest.raises(MemoryError, match="caller lane"):
+        sample_counts(marginal, 10**7, 4)
+    assert len(started) == 4 and not started[-1].is_alive()
     assert threading.active_count() == before
-    # and so does the helper's sort of the second granule
-    monkeypatch.setattr(statevector, "_add_granule", add_granule)
-    submitted = []
-
-    def sort_fails():
-        raise MemoryError("second sort")
-
-    class FailsSecondSort(concurrent.futures.ThreadPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
-            submitted.append(fn)
-            return super().submit(sort_fails if len(submitted) == 2 else fn, *args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", FailsSecondSort)
-    with pytest.raises(MemoryError, match="second sort"):
-        sample_counts(marginal, 10**6, 4)
-    assert len(submitted) == 2 and len(started) == 3 and not started[2].is_alive()
-    assert threading.active_count() == before
+    assert added.count(True) == 1 and added.count(False) < 39 / 2
 
 
 @pytest.mark.parametrize("n_value, shots", [(19, 1024), (31, SAMPLE_CHUNK // 2)])
